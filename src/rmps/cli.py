@@ -279,12 +279,19 @@ def _run_q_stddev(cfg: RunConfig) -> list[Table]:
     return [Table("q_stddev_vs_chi", ("chi", "q_stddev", "stderr"), rows)]
 
 
+def _qubit_split(p: dict) -> tuple[int, int, int]:
+    """(n, d_a, d_b) of the d_a-by-2^n/d_a split of an n-qubit chain."""
+    n, d_a = int(p["n"]), int(p["d_a"])
+    if d_a < 1:
+        raise DimensionError(f"d_a must be positive, got {d_a}")
+    return n, d_a, 2**n // d_a
+
+
 def _run_moments_vs_chi(cfg: RunConfig) -> list[Table]:
     """Deviation of subsystem moments from the exact Haar values versus
     bond dimension."""
     p = cfg.params
-    n, d_a = int(p["n"]), int(p["d_a"])
-    d_b = 2**n // d_a
+    n, d_a, d_b = _qubit_split(p)
     rows = []
     for idx, chi in enumerate(p["chis"]):
         spec = EnsembleSpec(RmpsSource(n, 2, int(chi)), cfg.r, subseed(cfg.seed, idx))
@@ -302,10 +309,8 @@ def _run_min_eig_vs_chi(cfg: RunConfig) -> list[Table]:
     is computed before any sample is drawn, so a split beyond its cap
     fails at once with exit code 3."""
     p = cfg.params
-    n, d_a = int(p["n"]), int(p["d_a"])
-    if d_a < 1:
-        raise DimensionError(f"d_a must be positive, got {d_a}")
-    ref = dense.cue_min_eigenvalue(d_a, 2**n // d_a)
+    n, d_a, d_b = _qubit_split(p)
+    ref = dense.cue_min_eigenvalue(d_a, d_b)
     rows = []
     for idx, chi in enumerate(p["chis"]):
         spec = EnsembleSpec(RmpsSource(n, 2, int(chi)), cfg.r, subseed(cfg.seed, idx))

@@ -29,7 +29,7 @@ from . import dense
 from .dense import DENSITY_DIM_CAP, DenseState, DensityMatrix
 from .errors import DimensionError
 from .haar import Seed, as_seed, subseed
-from .mps import Mps, LocalObservable, sample_rmps
+from .mps import LocalObservable, Mps, _Stack, _contract, sample_rmps
 
 
 @dataclass(frozen=True)
@@ -282,45 +282,25 @@ def purity_of_average_via_overlaps(spec: EnsembleSpec) -> EnsembleReport:
     """
     t0 = time.perf_counter()
     r = spec.r
-    row_sums = np.zeros(r)
     src = spec.source
     if isinstance(src, CueSource):
         states = np.empty((r, total_dim(src)), dtype=np.complex128)
         for i in range(r):
             states[i] = draw_dense(spec, i).amplitudes
-        for i in range(r - 1):
-            w = np.abs(states[i + 1:] @ states[i].conj()) ** 2
-            row_sums[i] += w.sum()
-            row_sums[i + 1:] += w
-    elif src.boundary == "obc":
-        n, d, chi = src.n_sites, src.phys_dim, src.bond_dim
-        tensors = np.empty((r, n, d, chi, chi), dtype=np.complex128)
-        rights = np.empty((r, chi), dtype=np.complex128)
-        norms = np.empty(r)
-        for i in range(r):
-            m = draw_mps(spec, i)
-            for k in range(n):
-                tensors[i, k] = m.tensors[k]
-            rights[i] = m.right_vec
-            norms[i] = m.norm_squared()
-        for i in range(r - 1):
-            v = np.einsum("mb,c->mbc", rights[i + 1:], rights[i].conj())
-            for k in range(n - 1, -1, -1):
-                v = np.einsum("msab,mbc->msac", tensors[i + 1:, k], v, optimize=True)
-                v = np.einsum("msac,sdc->mad", v, tensors[i, k].conj(), optimize=True)
-            # sampled chains fix the left boundary to the first basis vector
-            w = np.abs(v[:, 0, 0]) ** 2 / (norms[i + 1:] * norms[i])
-            row_sums[i] += w.sum()
-            row_sums[i + 1:] += w
+
+        def row(i):
+            return np.abs(states[i + 1:] @ states[i].conj()) ** 2
     else:
-        from .mps import overlap
-        samples = [draw_mps(spec, i) for i in range(r)]
-        norms = np.array([m.norm_squared() for m in samples])
-        for i in range(r - 1):
-            for j in range(i + 1, r):
-                w = abs(overlap(samples[i], samples[j])) ** 2 / (norms[i] * norms[j])
-                row_sums[i] += w
-                row_sums[j] += w
+        stack = _Stack.of(draw_mps(spec, i) for i in range(r))
+        norms = np.array([_contract(stack[i], stack[i]).real for i in range(r)])
+
+        def row(i):
+            return np.abs(_contract(stack[i + 1:], stack[i])) ** 2 / (norms[i + 1:] * norms[i])
+    row_sums = np.zeros(r)
+    for i in range(r - 1):
+        w = row(i)
+        row_sums[i] += w.sum()
+        row_sums[i + 1:] += w
     cross = float(row_sums.sum()) / r**2
     if r > 2:
         loo = (row_sums.sum() - 2.0 * row_sums) / (r - 1) ** 2

@@ -9,17 +9,23 @@ left-to-right convention
 
 Sampling cuts the site matrices out of Haar-random unitaries acting on
 the physical site plus a bond-space ancilla, which makes every sampled
-tensor set an exact isometry sum_i A^i{}^dag A^i = 1.  Contractions
-never build the full chi^2 x chi^2 transfer matrices except in the two
-functions that expose them; sweeps cost O(N D chi^3) on open chains and
-O(N D chi^5) on rings.
+tensor set an exact isometry sum_i A^i{}^dag A^i = 1.
+
+Every contraction of a ket chain against a bra chain (norm, overlap,
+expectation value, block and site reduced states) is one transfer step
+swept over the sites, started and closed by a boundary pair (L, R).  On
+a ring both are the identity on the chi_ket * chi_bra bond pairs; an
+open chain is the same ring closed by the rank-one pair built from its
+boundary vectors.  Contractions never build the full chi^2 x chi^2
+transfer matrices except in the two functions that expose them; a sweep
+costs O(N D chi^3) on open chains and O(N D chi^5) on rings.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -123,54 +129,9 @@ class Mps:
 
     # -- contraction sweeps -------------------------------------------------
 
-    def _right_envs(self) -> list[np.ndarray]:
-        """Right environments V_k for open chains, k = 0..N.
-
-        V_k sums the chain from site k to the right boundary;
-        V_N = |right><right| and V_k = sum_i A^i[k] V_{k+1} A^i[k]^dag.
-        """
-        v = np.outer(self.right_vec, self.right_vec.conj())
-        envs = [v]
-        for a in reversed(self.tensors):
-            v = np.einsum("iab,bc,idc->ad", a, v, a.conj(), optimize=True)
-            envs.append(v)
-        envs.reverse()
-        return envs
-
-    def _left_env_start(self) -> np.ndarray:
-        return np.outer(self.left_vec.conj(), self.left_vec)
-
-    @staticmethod
-    def _left_step(lam: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return np.einsum("ab,iac,ibd->cd", lam, a, a.conj(), optimize=True)
-
     def norm_squared(self) -> float:
         """<psi|psi> of the raw, unnormalized state."""
-        if self.boundary == "obc":
-            v = self._right_envs()[0]
-            val = self.left_vec.conj() @ v @ self.left_vec
-        else:
-            val = self._ring_chain({})
-        return float(val.real)
-
-    def _ring_chain(self, site_ops: dict[int, np.ndarray]) -> complex:
-        """Trace of the transfer chain with operators inserted at sites.
-
-        The running product is carried as chi^2 stacked chi x chi
-        blocks and each site map is applied blockwise, which keeps the
-        cost at O(D chi^5) per site instead of chi^6.
-        """
-        chi = self.bond_dim
-        m = np.eye(chi * chi, dtype=np.complex128).reshape(chi, chi, chi * chi)
-        for k in range(self.n_sites - 1, -1, -1):
-            a = self.tensors[k]
-            op = site_ops.get(k)
-            if op is None:
-                m = np.einsum("iab,bcs,idc->ads", a, m, a.conj(), optimize=True)
-            else:
-                m = np.einsum("ij,jab,bcs,idc->ads", op, a, m, a.conj(), optimize=True)
-        m4 = m.reshape(chi, chi, chi, chi)
-        return complex(np.einsum("abab->", m4))
+        return float(_contract(self, self).real)
 
     def expectation(self, obs: LocalObservable) -> float:
         """Normalized expectation value of a product observable.
@@ -186,141 +147,62 @@ class Mps:
             raise DimensionError(
                 f"observable on sites [{obs.start_site}, {obs.start_site + obs.n_sites}) "
                 f"does not fit in {self.n_sites} sites")
-        site_ops = {obs.start_site + j: op for j, op in enumerate(obs.site_ops)}
-        norm_sq = self.norm_squared()
+        norm_sq = _contract(self, self).real
         if norm_sq <= 0.0:
             raise ValueError("state has zero norm")
-        if self.boundary == "pbc":
-            return complex(self._ring_chain(site_ops)).real / norm_sq
-        v = np.outer(self.right_vec, self.right_vec.conj())
-        for k in range(self.n_sites - 1, -1, -1):
-            a = self.tensors[k]
-            op = site_ops.get(k)
-            if op is None:
-                v = np.einsum("iab,bc,idc->ad", a, v, a.conj(), optimize=True)
-            else:
-                # ket side carries the column index of the operator
-                v = np.einsum("ij,jab,bc,idc->ad", op, a, v, a.conj(), optimize=True)
-        val = self.left_vec.conj() @ v @ self.left_vec
-        return float(val.real) / norm_sq
+        site_ops = {obs.start_site + j: op for j, op in enumerate(obs.site_ops)}
+        return float(_contract(self, self, site_ops).real) / norm_sq
 
     def reduced_density_matrix(self, start: int, length: int,
                                cap: int = DENSITY_DIM_CAP) -> DensityMatrix:
         """Reduced state of ``length`` contiguous sites from ``start``.
 
-        Entrywise block assembly between precomputed environments; the
-        result is normalized to unit trace regardless of the state
-        norm.  Block dimension D^length is capped.
+        The block is multiplied out with its physical indices open and
+        closed between the environments on either side; the result is
+        divided by its own trace, so it has unit trace regardless of the
+        state norm.  Block dimension D^length is capped.
         """
         n, d = self.n_sites, self.phys_dim
         if not (0 <= start and length >= 1 and start + length <= n):
             raise DimensionError(
                 f"block [{start}, {start + length}) does not fit in {n} sites")
-        block_dim = d**length
-        check_density_cap(block_dim, cap)
-        norm_sq = self.norm_squared()
-        if norm_sq <= 0.0:
-            raise ValueError("state has zero norm")
-
-        if self.boundary == "obc":
-            envs = self._right_envs()
-            lam = self._left_env_start()
-            for k in range(start):
-                lam = self._left_step(lam, self.tensors[k])
-            t = lam[np.newaxis, np.newaxis]  # axes (I, J, ket bond, bra bond)
-            for k in range(start, start + length):
-                a = self.tensors[k]
-                t = np.einsum("IJab,iac,jbd->IiJjcd", t, a, a.conj(), optimize=True)
-                dim = t.shape[0] * t.shape[1]
-                t = t.reshape(dim, dim, a.shape[1], a.shape[1])
-            rho = np.einsum("IJcd,cd->IJ", t, envs[start + length], optimize=True)
-        else:
-            chi = self.bond_dim
-            # environment: transfer chain over all sites outside the block
-            m = np.eye(chi * chi, dtype=np.complex128).reshape(chi, chi, chi * chi)
-            outside = [k % n for k in range(start + length, start + n)]
-            for k in reversed(outside):
-                a = self.tensors[k]
-                m = np.einsum("iab,bcs,idc->ads", a, m, a.conj(), optimize=True)
-            g = m.reshape(chi, chi, chi, chi)  # g[b, bb, a, ab]
-            t = np.einsum("ac,bd->abcd", np.eye(chi), np.eye(chi))[np.newaxis, np.newaxis]
-            for k in range(start, start + length):
-                a = self.tensors[k]
-                t = np.einsum("IJabcd,ice,jdf->IiJjabef", t, a, a.conj(), optimize=True)
-                dim = t.shape[0] * t.shape[1]
-                t = t.reshape(dim, dim, chi, chi, chi, chi)
-            rho = np.einsum("IJabef,efab->IJ", t, g, optimize=True)
-
-        rho = rho / norm_sq
+        check_density_cap(d**length, cap)
+        left, right = _boundary(self, self)
+        for a in self.tensors[:start]:
+            left = _step_from_left(a, left, a)
+        for a in reversed(self.tensors[start + length:]):
+            right = _step(a, right, a)
+        block = _multiply(np.eye(self.bond_dim, dtype=np.complex128)[np.newaxis],
+                          self.tensors[start:start + length])
+        rho = _normalized(_open_pair(left, block, right, block))
         rho = (rho + rho.conj().T) / 2.0
         return DensityMatrix((d,) * length, rho)
 
     def site_density_matrices(self) -> np.ndarray:
         """All one-site reduced density matrices, shape (N, D, D).
 
-        One environment sweep for the whole chain, so the total cost is
-        O(N D chi^3) on open chains.
+        One environment sweep each way for the whole chain, so the total
+        cost is O(N D chi^3) on open chains and O(N D chi^5) on rings.
         """
-        n, d, chi = self.n_sites, self.phys_dim, self.bond_dim
-        out = np.empty((n, d, d), dtype=np.complex128)
-        if self.boundary == "obc":
-            envs = self._right_envs()
-            lam = self._left_env_start()
-            norm_sq = float(np.einsum("ab,ab->", lam, envs[0]).real)
-            if norm_sq <= 0.0:
-                raise ValueError("state has zero norm")
-            for k in range(n):
-                a = self.tensors[k]
-                out[k] = np.einsum("ab,iac,jbd,cd->ij", lam, a, a.conj(), envs[k + 1],
-                                   optimize=True) / norm_sq
-                lam = self._left_step(lam, a)
-        else:
-            eye = np.eye(chi * chi, dtype=np.complex128)
-            prefix = [eye]  # prefix[k] = E_1 ... E_k as a chi^2 x chi^2 matrix
-            for k in range(n):
-                m = prefix[-1].reshape(chi * chi, chi, chi)
-                m = np.einsum("sab,iac,ibd->scd", m, self.tensors[k],
-                              self.tensors[k].conj(), optimize=True)
-                prefix.append(m.reshape(chi * chi, chi * chi))
-            suffix = [eye]  # suffix[j] = E_{k+2} ... E_N for k = n-1-j
-            for k in range(n - 1, -1, -1):
-                m = suffix[-1].reshape(chi, chi, chi * chi)
-                m = np.einsum("iab,bcs,idc->ads", self.tensors[k], m,
-                              self.tensors[k].conj(), optimize=True)
-                suffix.append(m.reshape(chi * chi, chi * chi))
-            suffix.reverse()
-            norm_sq = float(np.trace(prefix[n]).real)
-            if norm_sq <= 0.0:
-                raise ValueError("state has zero norm")
-            for k in range(n):
-                g = (suffix[k + 1] @ prefix[k]).reshape(chi, chi, chi, chi)
-                a = self.tensors[k]
-                out[k] = np.einsum("iab,jcd,bdac->ij", a, a.conj(), g,
-                                   optimize=True) / norm_sq
-        return out
+        left, right = _boundary(self, self)
+        lefts, rights = [left], [right]
+        for a, b in zip(self.tensors[:-1], reversed(self.tensors[1:])):
+            lefts.append(_step_from_left(a, lefts[-1], a))
+            rights.append(_step(b, rights[-1], b))
+        return _normalized(np.stack([_open_pair(left, a, right, a) for left, a, right
+                                     in zip(lefts, self.tensors, reversed(rights))]))
 
     def to_dense(self, cap: int = DENSE_AMPLITUDE_CAP) -> DenseState:
         """Dense amplitudes of the raw state (no normalization).
 
-        Ring states carry an extra chi^2 memory factor while the chain
-        is being assembled.
+        Assembly holds D^N x chi numbers on open chains and D^N x chi^2
+        on rings.
         """
         n, d = self.n_sites, self.phys_dim
         check_amplitude_cap(d**n, cap)
-        if self.boundary == "obc":
-            psi = self.left_vec.conj()[np.newaxis, :]
-            for a in self.tensors:
-                psi = np.einsum("Ia,iab->Iib", psi, a, optimize=True)
-                psi = psi.reshape(-1, a.shape[2])
-            amps = psi @ self.right_vec
-        else:
-            chi = self.bond_dim
-            m = np.eye(chi, dtype=np.complex128)[np.newaxis]
-            for a in self.tensors:
-                m = np.einsum("Iab,ibc->Iiac", m, a, optimize=True)
-                m = m.reshape(-1, chi, chi)
-            amps = np.einsum("Iaa->I", m)
-        return DenseState((d,) * n, amps)
+        left, right = _boundary(self)
+        psi = _multiply(left.T[np.newaxis], self.tensors)
+        return DenseState((d,) * n, (psi * right.T).sum(axis=(1, 2)))
 
     def max_isometry_defect(self) -> float:
         """Largest deviation of any site from sum_i A^i{}^dag A^i = 1."""
@@ -386,26 +268,145 @@ def sample_rmps(n_sites: int, phys_dim: int, bond_dim: int, seed: Seed | int,
 def overlap(a: Mps, b: Mps) -> complex:
     """Raw overlap <a|b> of two states with matching site structure.
 
-    Bond dimensions may differ.  The mixed sweep keeps a chi_b x chi_a
-    matrix, updated as V <- sum_i B^i V A^i{}^dag.
+    Bond dimensions may differ; b is the ket of the sweep and a the bra.
     """
     if a.n_sites != b.n_sites or a.phys_dim != b.phys_dim:
         raise DimensionError("states must share site count and physical dimension")
     if a.boundary != b.boundary:
         raise DimensionError("states must share the boundary type")
-    if a.boundary == "obc":
-        v = np.outer(b.right_vec, a.right_vec.conj())
-        for k in range(a.n_sites - 1, -1, -1):
-            v = np.einsum("iab,bc,idc->ad", b.tensors[k], v, a.tensors[k].conj(),
-                          optimize=True)
-        return complex(b.left_vec.conj() @ v @ a.left_vec)
-    chi_a, chi_b = a.bond_dim, b.bond_dim
-    m = np.eye(chi_b * chi_a, dtype=np.complex128).reshape(chi_b, chi_a, chi_b * chi_a)
-    for k in range(a.n_sites - 1, -1, -1):
-        m = np.einsum("iab,bcs,idc->ads", b.tensors[k], m, a.tensors[k].conj(),
-                      optimize=True)
-    m4 = m.reshape(chi_b, chi_a, chi_b, chi_a)
-    return complex(np.einsum("abab->", m4))
+    return complex(_contract(b, a))
+
+
+# -- the transfer step ------------------------------------------------------
+#
+# An environment env[..., a, c, s] carries the ket bond a, the bra bond c
+# and a boundary index s: size 1 on open chains, chi_ket * chi_bra on
+# rings, where it holds the bond pair at the far end of the sweep until
+# the closing contraction ties it to the other end.  A ket may carry
+# leading axes: a stack of states runs against one bra in one sweep.
+
+
+@dataclass(frozen=True)
+class _Stack:
+    """States of one shape stacked on a leading sample axis.
+
+    Holds the fields the sweeps read from an Mps: ``tensors[k]`` has
+    shape (m, D, chi, chi) and the boundary vectors (m, chi).  An integer
+    index gives back one state's fields, a slice a smaller stack.
+    """
+
+    tensors: tuple
+    boundary: str
+    left_vec: np.ndarray | None
+    right_vec: np.ndarray | None
+
+    @classmethod
+    def of(cls, states: Iterable[Mps]) -> "_Stack":
+        """Stack states as they arrive, keeping one array per state."""
+        tensors, lefts, rights = [], [], []
+        for m in states:
+            tensors.append(np.stack(m.tensors))
+            lefts.append(m.left_vec)
+            rights.append(m.right_vec)
+
+        def stacked(vecs):
+            return None if vecs[0] is None else np.stack(vecs)
+        return cls(tuple(np.stack(tensors, axis=1)), m.boundary, stacked(lefts),
+                   stacked(rights))
+
+    @property
+    def bond_dim(self) -> int:
+        return self.tensors[0].shape[-1]
+
+    def __getitem__(self, idx) -> "_Stack":
+        def part(v):
+            return None if v is None else v[idx]
+        return _Stack(tuple(t[idx] for t in self.tensors), self.boundary,
+                      part(self.left_vec), part(self.right_vec))
+
+
+def _boundary(ket, bra=None) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary pair (L, R) of a sweep of ket against bra.
+
+    Open chains: L = left* (x) left and R = right (x) right*, each with a
+    trailing boundary axis of size 1.  Rings: both are the identity on
+    chi_ket * chi_bra, shaped (chi_ket, chi_bra, chi_ket * chi_bra).
+    Without a bra, the single-copy pair of the ket alone: (left*, right)
+    as columns, or the chi x chi identity twice.
+    """
+    if ket.boundary == "obc":
+        if bra is None:
+            return ket.left_vec.conj()[..., np.newaxis], ket.right_vec[..., np.newaxis]
+        return (np.multiply.outer(ket.left_vec.conj(), bra.left_vec)[..., np.newaxis],
+                np.multiply.outer(ket.right_vec, bra.right_vec.conj())[..., np.newaxis])
+    if bra is None:
+        eye = np.eye(ket.bond_dim, dtype=np.complex128)
+    else:
+        dim = ket.bond_dim * bra.bond_dim
+        eye = np.eye(dim, dtype=np.complex128).reshape(ket.bond_dim, bra.bond_dim, dim)
+    return eye, eye
+
+
+def _step(ket: np.ndarray, env: np.ndarray, bra: np.ndarray,
+          op: np.ndarray | None = None) -> np.ndarray:
+    """Absorb one site into a right environment:
+    env'[..., a, c, s] = sum ket[..., i, a, b] env[..., b, d, s] conj(bra[i, c, d]),
+    with ket[i] replaced by sum_j op[i, j] ket[j] when an operator is given.
+    """
+    if op is not None:
+        ket = np.einsum("ij,...jab->...iab", op, ket)
+    *lead, d, chi, _ = ket.shape
+    t = np.matmul(ket.reshape(*lead, d * chi, chi), env.reshape(*env.shape[:-2], -1))
+    t = t.reshape(*t.shape[:-2], d, chi, *env.shape[-2:])
+    return np.tensordot(t, bra.conj(), axes=([-4, -2], [0, 2])).swapaxes(-1, -2)
+
+
+def _step_from_left(ket: np.ndarray, env: np.ndarray, bra: np.ndarray) -> np.ndarray:
+    """Absorb one site into a left environment: the same step on
+    transposed site matrices."""
+    return _step(ket.swapaxes(-1, -2), env, bra.swapaxes(-1, -2))
+
+
+def _close(left: np.ndarray, right: np.ndarray):
+    """sum left[..., a, c, s] right[..., a, c, s]."""
+    return (left * right).sum(axis=(-3, -2, -1))
+
+
+def _contract(ket, bra, site_ops: dict[int, np.ndarray] | None = None):
+    """<bra|ket> with site_ops[k] on the ket side of site k."""
+    site_ops = site_ops or {}
+    left, right = _boundary(ket, bra)
+    for k in range(len(ket.tensors) - 1, -1, -1):
+        right = _step(ket.tensors[k], right, bra.tensors[k], site_ops.get(k))
+    return _close(left, right)
+
+
+def _open_pair(left: np.ndarray, ket: np.ndarray, right: np.ndarray,
+               bra: np.ndarray) -> np.ndarray:
+    """Close a site between its environments with the physical indices
+    open: rho[I, J] = sum left[a, c, s] ket[I, a, b] right[b, d, s] conj(bra[J, c, d]).
+    """
+    d, chi, _ = ket.shape
+    t = np.matmul(ket, right.reshape(chi, -1)).reshape(d, chi, *right.shape[1:])
+    t = np.tensordot(t, left, axes=([1, 3], [0, 2]))
+    return np.tensordot(t, bra.conj(), axes=([2, 1], [1, 2]))
+
+
+def _multiply(m: np.ndarray, tensors) -> np.ndarray:
+    """Multiply site tensors onto m[I, s, a] from the right, appending
+    each physical index to I: m'[(I, i), s, b] = sum_a m[I, s, a] A^i[a, b].
+    """
+    for a in tensors:
+        m = np.matmul(m[:, np.newaxis], a).reshape(-1, m.shape[1], a.shape[2])
+    return m
+
+
+def _normalized(rho: np.ndarray) -> np.ndarray:
+    """Divide density matrices (stacked on leading axes) by their traces."""
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    if np.any(trace <= 0.0):
+        raise ValueError("state has zero norm")
+    return rho / trace[..., np.newaxis, np.newaxis]
 
 
 def transfer_identity(mps: Mps, site: int) -> np.ndarray:

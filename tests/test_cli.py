@@ -213,6 +213,17 @@ def test_min_eig_vs_chi_exact_reference_and_cap(tmp_path):
     assert main(["run", str(zero), "--out", str(tmp_path / "zero")]) == 2
 
 
+def test_moments_vs_chi_rejects_empty_subsystem(tmp_path):
+    """d_a = 0 is a configuration error (exit 2, error manifest), not a
+    crash while forming the complement dimension."""
+    cfg = write_cfg(tmp_path, "moments-vs-chi", {"params": {"n": 4, "d_a": 0}})
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out_dir)]) == 2
+    manifest = read_manifest(out_dir)
+    assert manifest["status"] == "error"
+    assert "d_a must be positive" in manifest["error"]
+
+
 def test_jsonl_format(tmp_path):
     cfg = write_cfg(tmp_path, "q-stddev",
                     {"r": 30, "format": "jsonl", "params": {"n": 4, "chis": [2]}})

@@ -27,7 +27,7 @@ from rmps.ensembles import (
 )
 from rmps.errors import DimensionError
 from rmps.haar import Seed, as_seed, subseed
-from rmps.mps import LocalObservable, sample_rmps
+from rmps.mps import LocalObservable, overlap, sample_rmps
 
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 
@@ -189,6 +189,7 @@ def test_purity_estimator_matches_dense_average_state():
         RmpsSource(5, 2, 3, homogeneous=True),
         RmpsSource(4, 2, 2, boundary="pbc"),
         CueSource((2, 2, 2, 2)),
+        RmpsSource(4, 2, 2, homogeneous=True, boundary="pbc"),
     ]
     for idx, src in enumerate(sources):
         spec = EnsembleSpec(src, 30, subseed(21, idx))
@@ -196,6 +197,24 @@ def test_purity_estimator_matches_dense_average_state():
         rho = empirical_average_state(spec).matrix
         want = np.einsum("ij,ji->", rho, rho).real
         assert abs((rep.value + 1 / 30) - want) < 1e-8
+
+
+def test_purity_estimator_batched_block_matches_pairwise_overlaps():
+    """The one-against-many overlap block equals the sum over pairs of
+    single mps.overlap calls, on open chains and rings."""
+    sources = [
+        RmpsSource(5, 2, 3),
+        RmpsSource(4, 2, 2, boundary="pbc"),
+        RmpsSource(4, 2, 3, homogeneous=True, boundary="pbc"),
+    ]
+    r = 12
+    for idx, src in enumerate(sources):
+        spec = EnsembleSpec(src, r, subseed(23, idx))
+        states = [draw_mps(spec, i) for i in range(r)]
+        norms = [m.norm_squared() for m in states]
+        want = sum(2 * abs(overlap(states[i], states[j])) ** 2 / (norms[i] * norms[j])
+                   for i in range(r) for j in range(i + 1, r)) / r**2
+        assert abs(purity_of_average_via_overlaps(spec).value - want) < 1e-12
 
 
 def test_purity_estimator_degenerate_ensembles(monkeypatch):

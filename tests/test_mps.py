@@ -224,6 +224,21 @@ def test_reduced_density_matrix_errors():
         m.reduced_density_matrix(0, 4, cap=8)
 
 
+def test_zero_norm_state_is_rejected():
+    """A state with all-zero tensors has no reduced states or expectation
+    values; every normalized contraction raises ValueError."""
+    zeros = np.zeros((2, 2, 2), dtype=complex)
+    unit = np.array([1.0, 0.0])
+    for m in (Mps([zeros] * 3, "obc", unit, unit), Mps([zeros] * 3, "pbc")):
+        assert m.norm_squared() == 0.0
+        with pytest.raises(ValueError):
+            m.expectation(LocalObservable((SZ,), 1))
+        with pytest.raises(ValueError):
+            m.reduced_density_matrix(0, 2)
+        with pytest.raises(ValueError):
+            m.site_density_matrices()
+
+
 def test_site_density_matrices_match_blocks():
     for boundary in ("obc", "pbc"):
         m = sample_rmps(5, 2, 3, 59, boundary=boundary)
