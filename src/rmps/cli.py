@@ -292,13 +292,13 @@ def _run_moments_vs_chi(cfg: RunConfig) -> list[Table]:
     bond dimension."""
     p = cfg.params
     n, d_a, d_b = _qubit_split(p)
+    ms = [int(m) for m in p["ms"]]
     rows = []
     for idx, chi in enumerate(p["chis"]):
         spec = EnsembleSpec(RmpsSource(n, 2, int(chi)), cfg.r, subseed(cfg.seed, idx))
-        for m in p["ms"]:
-            rep = ensembles.moment_comparison(spec, d_a, int(m))
-            rows.append((int(chi), int(m), rep.value, rep.stderr,
-                         dense.cue_purity_moment(int(m), d_a, d_b)))
+        for m, rep in zip(ms, ensembles.moment_comparisons(spec, d_a, ms)):
+            rows.append((int(chi), m, rep.value, rep.stderr,
+                         dense.cue_purity_moment(m, d_a, d_b)))
     return [Table("moments_vs_chi",
                   ("chi", "m", "abs_deviation", "stderr", "haar_value"), rows)]
 

@@ -9,7 +9,10 @@ left-to-right convention
 
 Sampling cuts the site matrices out of Haar-random unitaries acting on
 the physical site plus a bond-space ancilla, which makes every sampled
-tensor set an exact isometry sum_i A^i{}^dag A^i = 1.
+tensor set an exact isometry sum_i A^i{}^dag A^i = 1.  Only the chi
+columns a site keeps are ever formed: a sample is one thin QR over the
+stacked Ginibre columns of all its sites and one isometry check, and
+gives bitwise the cut of the full unitaries.
 
 Every contraction of a ket chain against a bra chain (norm, overlap,
 expectation value, block and site reduced states) is one transfer step
@@ -32,7 +35,7 @@ import numpy as np
 from .dense import DENSE_AMPLITUDE_CAP, DENSITY_DIM_CAP, DenseState, DensityMatrix, \
     check_amplitude_cap, check_density_cap
 from .errors import DimensionError
-from .haar import Seed, as_seed, haar_state, haar_unitary, require_unitary, subseed
+from .haar import Seed, as_seed, ginibre, haar_state, require_unitary, subseed
 
 BOUNDARIES = ("obc", "pbc")
 
@@ -237,32 +240,54 @@ def sample_rmps(n_sites: int, phys_dim: int, bond_dim: int, seed: Seed | int,
                 homogeneous: bool = False, boundary: str = "obc") -> Mps:
     """Draw a random matrix product state from Haar-random unitaries.
 
-    Site k gets its tensor set from a fresh unitary seeded with
-    subseed(seed, k); homogeneous states reuse the site-0 unitary
-    everywhere.  Open chains fix the left boundary to the first bond
-    basis vector and draw the right boundary Haar-randomly from
-    subseed(seed, n_sites).  The raw state is not normalized; all
-    statistics downstream divide by norm_squared().
+    Site k gets the tensor set a_matrices_from_unitary would cut out of
+    haar_unitary(D * chi, subseed(seed, k)); homogeneous states reuse
+    the site-0 set everywhere.  Only the first chi columns of each
+    unitary are formed: one thin QR over the stack of all sites and one
+    isometry check per sample (see _site_tensors).  Open chains fix the
+    left boundary to the first bond basis vector and draw the right
+    boundary Haar-randomly from subseed(seed, n_sites).  The raw state
+    is not normalized; all statistics downstream divide by
+    norm_squared().
     """
     if n_sites < 1:
         raise DimensionError(f"n_sites must be positive, got {n_sites}")
     seed = as_seed(seed)
     if homogeneous:
-        a = a_matrices_from_unitary(haar_unitary(phys_dim * bond_dim, subseed(seed, 0)),
-                                    phys_dim, bond_dim)
-        tensors = [a] * n_sites
+        tensors = [_site_tensors(1, phys_dim, bond_dim, seed)[0]] * n_sites
     else:
-        tensors = [
-            a_matrices_from_unitary(haar_unitary(phys_dim * bond_dim, subseed(seed, k)),
-                                    phys_dim, bond_dim)
-            for k in range(n_sites)
-        ]
+        tensors = list(_site_tensors(n_sites, phys_dim, bond_dim, seed))
     if boundary == "obc":
         left = np.zeros(bond_dim, dtype=np.complex128)
         left[0] = 1.0
         right = haar_state(bond_dim, subseed(seed, n_sites))
         return Mps(tensors, "obc", left, right, homogeneous=homogeneous)
     return Mps(tensors, "pbc", homogeneous=homogeneous)
+
+
+def _site_tensors(n_sets: int, phys_dim: int, bond_dim: int, seed: Seed) -> np.ndarray:
+    """Tensor sets of sites 0 .. n_sets - 1, shape (n_sets, D, chi, chi).
+
+    Draws each site's full Ginibre matrix from subseed(seed, k), so the
+    random stream is that of haar_unitary, and keeps its first chi
+    columns.  Householder QR of those columns gives exactly the first
+    chi columns of the full Q and the leading chi x chi block of R, so
+    one thin QR over the stack, with haar_unitary's phase fix, yields
+    bitwise the tensors a_matrices_from_unitary cuts out of the full
+    unitaries.  The stack is checked for isometry once, as
+    max |Q^dag Q - 1| <= 1e-12, the tolerance of require_unitary.
+    """
+    d, chi = int(phys_dim), int(bond_dim)
+    if d < 1 or chi < 1:
+        raise DimensionError(f"dimensions must be positive, got D={d}, chi={chi}")
+    z = np.stack([ginibre(d * chi, subseed(seed, k))[:, :chi] for k in range(n_sets)])
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (diag / np.abs(diag))[:, np.newaxis, :]
+    defect = np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(chi)).max()
+    if not defect <= 1e-12:  # also catches the NaN phases of a singular draw
+        raise ValueError(f"site tensors are not isometric: defect {defect:.3e} exceeds 1e-12")
+    return q.reshape(n_sets, d, chi, chi)
 
 
 def overlap(a: Mps, b: Mps) -> complex:

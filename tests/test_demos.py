@@ -1,0 +1,19 @@
+"""Smoke test: the sampler demos run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("name", ["haar_sampling.py", "sequential_mps.py",
+                                  "average_state.py"])
+def test_demo_runs(name):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

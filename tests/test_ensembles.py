@@ -18,6 +18,7 @@ from rmps.ensembles import (
     empirical_average_state,
     min_eig_comparison,
     moment_comparison,
+    moment_comparisons,
     purity_of_average_via_overlaps,
     purity_relative_error,
     q_statistics,
@@ -323,6 +324,37 @@ def test_moment_comparison_errors():
         moment_comparison(spec, 3, 2)  # 3 is not a leading-block dimension
     with pytest.raises(ValueError):
         moment_comparison(spec, 4, 7)
+
+
+def test_moment_comparisons_match_per_order_reports():
+    """One pass over the samples gives bitwise the per-order reports."""
+    for source in (RmpsSource(4, 2, 3), CueSource((2,) * 4)):
+        spec = EnsembleSpec(source, 30, Seed(12))
+        reps = moment_comparisons(spec, 4, [2, 3, 4])
+        assert len(reps) == 3
+        for m, rep in zip((2, 3, 4), reps):
+            want = moment_comparison(spec, 4, m)
+            assert rep.estimator == want.estimator
+            assert rep.value == want.value
+            assert rep.stderr == want.stderr
+            assert np.array_equal(rep.per_sample, want.per_sample)
+
+
+def test_moment_comparisons_draw_each_sample_once(monkeypatch):
+    spec = EnsembleSpec(RmpsSource(4, 2, 2), 7, Seed(3))
+    calls = []
+
+    def counting_draw(s, i):
+        calls.append(i)
+        return draw_mps(s, i)
+
+    monkeypatch.setattr(ensembles, "draw_mps", counting_draw)
+    moment_comparisons(spec, 4, [2, 3, 4])
+    assert sorted(calls) == list(range(spec.r))
+    calls.clear()
+    with pytest.raises(ValueError):
+        moment_comparisons(spec, 4, [2, 0])
+    assert calls == []
 
 
 def test_min_eig_comparison_product_states():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rmps import mps
 from rmps.dense import DensityMatrix
 from rmps.errors import CapExceededError, DimensionError
 from rmps.haar import Seed, haar_state, haar_unitary, subseed
@@ -100,6 +101,31 @@ def test_sample_rmps_deterministic_and_seeded_per_site():
     assert np.array_equal(m.right_vec, haar_state(3, subseed(11, 4)))
     assert np.array_equal(m.left_vec, np.array([1.0, 0, 0]))
     assert not np.array_equal(m.tensors[0], m.tensors[1])
+
+
+@pytest.mark.parametrize("phys_dim", [1, 2, 3])
+@pytest.mark.parametrize("bond_dim", [1, 2, 3, 4, 8, 16])
+def test_sample_rmps_matches_full_unitary_path(phys_dim, bond_dim):
+    """The thin sampler is bitwise the cut of the full Haar unitary of
+    every site, on open chains, rings and homogeneous chains."""
+    n = 4
+    for seed, homogeneous, boundary in ((5, False, "obc"), (6, False, "pbc"),
+                                         (7, True, "obc"), (8, True, "pbc")):
+        m = sample_rmps(n, phys_dim, bond_dim, seed, homogeneous=homogeneous,
+                        boundary=boundary)
+        for k in range(n):
+            site = 0 if homogeneous else k
+            want = a_matrices_from_unitary(
+                haar_unitary(phys_dim * bond_dim, subseed(seed, site)), phys_dim, bond_dim)
+            assert np.array_equal(m.tensors[k], want)
+
+
+def test_sample_rmps_rejects_non_isometric_draw(monkeypatch):
+    """A singular Ginibre draw has no phase fix; the isometry check of
+    the thin factor rejects its NaN columns."""
+    monkeypatch.setattr(mps, "ginibre", lambda n, seed: np.zeros((n, n), dtype=complex))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not isometric"):
+        sample_rmps(3, 2, 2, 0)
 
 
 def test_sample_rmps_homogeneous_aliases_one_tensor():
