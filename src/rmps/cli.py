@@ -12,6 +12,11 @@ A config file is a JSON object with an "experiment" id and optional
 Flag overrides win over the file; override keys named r, seed, format
 or out target those fields and any other key lands in params.
 
+run makes the same checks as validate before it draws any sample: the
+experiment's plan reads and checks its params, builds every ensemble of
+its grid and runs its range and cap checks.  validate reports the one
+problem the plan stops on.
+
 Every run writes its data tables plus a manifest.json carrying the
 resolved config, per-file sha256 checksums and wall time; the manifest
 is written even when the run fails.  Sampling is derived per sample
@@ -29,20 +34,17 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import __version__, dense, ensembles
-from .dense import DENSE_AMPLITUDE_CAP, DENSITY_DIM_CAP
 from .ensembles import CueSource, EnsembleSpec, RmpsSource
 from .errors import CapExceededError, DimensionError
 from .haar import Seed, subseed
 from .mps import LocalObservable
-
-_MASK64 = (1 << 64) - 1
 
 PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
@@ -73,11 +75,24 @@ class Table:
 
 
 @dataclass
+class Plan:
+    """A run worked out and checked before its first draw: every
+    ensemble it draws, the linear dimension of the largest dense matrix
+    it holds (0 for none), whether its estimator sweeps all r(r-1)/2
+    sample pairs, and ``execute``, which draws and returns the tables."""
+
+    specs: list[EnsembleSpec]
+    execute: Callable[[], list[Table]]
+    dense_dim: int = 0
+    pairwise: bool = False
+
+
+@dataclass
 class Experiment:
     name: str
     summary: str
     defaults: dict
-    runner: Callable[[RunConfig], list[Table]]
+    plan: Callable[[RunConfig], Plan]
     default_r: int = 500
 
 
@@ -85,198 +100,264 @@ class ConfigError(ValueError):
     """Invalid configuration or parameters (exit code 2)."""
 
 
-# -- experiment implementations ---------------------------------------------
+# -- experiment plans ----------------------------------------------------------
+
+
+REGISTRY: dict[str, Experiment] = {}
+
+
+def _register(name, summary, defaults, default_r=500):
+    """Register the decorated plan function as experiment ``name``."""
+    def add(plan):
+        REGISTRY[name] = Experiment(name, summary, defaults, plan, default_r)
+        return plan
+    return add
 
 
 def _source_from_params(p: dict, n: int, chi: int) -> RmpsSource | CueSource:
-    if p.get("source", "rmps") == "cue":
+    kind = p.get("source", "rmps")
+    if kind == "cue":
         return CueSource((2,) * n)
+    if kind != "rmps":
+        raise ConfigError(f"source must be 'rmps' or 'cue', got {kind!r}")
     return RmpsSource(n, 2, chi, bool(p.get("homogeneous", False)),
                       p.get("boundary", "obc"))
 
 
-def _run_avg_state_convergence(cfg: RunConfig) -> list[Table]:
+def _chi_sources(p: dict) -> list[RmpsSource]:
+    return [RmpsSource(int(p["n"]), 2, int(chi)) for chi in p["chis"]]
+
+
+def _grid(cfg: RunConfig, sources: list, keys=None) -> list[EnsembleSpec]:
+    """One ensemble of cfg.r samples per source.  The ensemble at grid
+    point k has master seed subseed(cfg.seed, k), where k counts from 0
+    unless ``keys`` gives the seed keys."""
+    keys = range(len(sources)) if keys is None else keys
+    return [EnsembleSpec(src, cfg.r, subseed(cfg.seed, k))
+            for k, src in zip(keys, sources)]
+
+
+def _table_plan(name: str, columns: tuple[str, ...], specs: list[EnsembleSpec],
+                rows: Callable[[EnsembleSpec], list[tuple]], **kw) -> Plan:
+    """A plan with one table: the rows(spec) of each ensemble in turn."""
+    return Plan(specs, lambda: [Table(name, columns, [row for spec in specs
+                                                      for row in rows(spec)])], **kw)
+
+
+@_register("avg-state-convergence",
+           "running trace distance of the average state to maximal mixedness vs r",
+           {"n": 3, "chi": 2, "source": "rmps", "homogeneous": False,
+            "boundary": "obc"})
+def _plan_avg_state_convergence(cfg: RunConfig) -> Plan:
     """Trace distance of the running average state to maximal mixedness,
     one row per sample-count prefix."""
     p = cfg.params
-    n, chi = int(p["n"]), int(p["chi"])
-    src = _source_from_params(p, n, chi)
-    spec = EnsembleSpec(src, cfg.r, cfg.seed)
-    d = ensembles.total_dim(src)
-    dense.check_density_cap(d)
-    target = np.eye(d, dtype=np.complex128) / d
-    acc = np.zeros((d, d), dtype=np.complex128)
-    rows = []
-    for i in range(cfg.r):
-        psi = ensembles.draw_dense(spec, i).amplitudes
-        acc += np.outer(psi, psi.conj())
-        rows.append((i + 1, dense.trace_distance(acc / (i + 1), target)))
-    return [Table("distance_vs_r", ("r_prefix", "trace_distance"), rows)]
+    spec = EnsembleSpec(_source_from_params(p, int(p["n"]), int(p["chi"])),
+                        cfg.r, cfg.seed)
+    d = ensembles.total_dim(spec.source)
+
+    def rows(spec):
+        target = np.eye(d, dtype=np.complex128) / d
+        acc = np.zeros((d, d), dtype=np.complex128)
+        for i in range(cfg.r):
+            psi = ensembles.draw_dense(spec, i).amplitudes
+            acc += np.outer(psi, psi.conj())
+            yield (i + 1, dense.trace_distance(acc / (i + 1), target))
+    return _table_plan("distance_vs_r", ("r_prefix", "trace_distance"), [spec], rows,
+                       dense_dim=d)
 
 
-def _run_subsystem_convergence(cfg: RunConfig) -> list[Table]:
+@_register("subsystem-convergence",
+           "mean block distance from maximal mixedness vs block size, with bound",
+           {"n": 6, "chi": 4, "max_length": 3, "source": "rmps",
+            "homogeneous": False, "boundary": "obc"}, default_r=300)
+def _plan_subsystem_convergence(cfg: RunConfig) -> Plan:
     """Mean trace distance of leading blocks from maximal mixedness as
     the block grows, with the typicality bound alongside."""
     p = cfg.params
-    n, chi = int(p["n"]), int(p["chi"])
-    src = _source_from_params(p, n, chi)
-    rows = []
-    for length in range(1, int(p["max_length"]) + 1):
-        spec = EnsembleSpec(src, cfg.r, subseed(cfg.seed, length))
-        rep = ensembles.subsystem_distance_stats(spec, length, "trace", "exact")
-        d_s = 2**length
-        d_b = 2 ** (n - length)
-        rows.append((length, d_s, rep.value, rep.stderr,
-                     dense.typicality_bound(d_s, d_b)))
-    return [Table("subsystem_distance",
-                  ("block_sites", "block_dim", "mean_trace_distance", "stderr",
-                   "typicality_bound"), rows)]
+    n, max_length = int(p["n"]), int(p["max_length"])
+    src = _source_from_params(p, n, int(p["chi"]))
+    if max_length > n:
+        raise DimensionError(f"max_length {max_length} exceeds the {n} sites of the chain")
+    lengths = range(1, max_length + 1)
+    specs = _grid(cfg, [src] * len(lengths), keys=lengths)
+
+    def execute():
+        rows = []
+        for length, spec in zip(lengths, specs):
+            rep = ensembles.subsystem_distance_stats(spec, length, "trace", "exact")
+            rows.append((length, 2**length, rep.value, rep.stderr,
+                         dense.typicality_bound(2**length, 2 ** (n - length))))
+        return [Table("subsystem_distance",
+                      ("block_sites", "block_dim", "mean_trace_distance", "stderr",
+                       "typicality_bound"), rows)]
+    return Plan(specs, execute, dense_dim=2 ** max(max_length, 0))
 
 
-def _run_bound_comparison(cfg: RunConfig) -> list[Table]:
+@_register("bound-comparison",
+           "one-site distance from maximal mixedness vs bath size, with bound",
+           {"chi": 8, "bath_sizes": [3, 4, 5, 6, 7], "source": "cue"}, default_r=200)
+def _plan_bound_comparison(cfg: RunConfig) -> Plan:
     """Mean subsystem trace distance against the sqrt(d_s/d_b)
     typicality bound as the bath grows."""
     p = cfg.params
-    rows = []
-    for idx, n_bath in enumerate(p["bath_sizes"]):
-        n_bath = int(n_bath)
-        n = 1 + n_bath
-        src = _source_from_params(p, n, int(p["chi"]))
-        spec = EnsembleSpec(src, cfg.r, subseed(cfg.seed, idx))
+    specs = _grid(cfg, [_source_from_params(p, 1 + int(b), int(p["chi"]))
+                        for b in p["bath_sizes"]])
+
+    def rows(spec):
+        n_bath = len(ensembles.source_dims(spec.source)) - 1
         rep = ensembles.subsystem_distance_stats(spec, 1, "trace", "exact")
-        rows.append((n_bath, 2**n_bath, rep.value, rep.stderr,
-                     dense.typicality_bound(2, 2**n_bath)))
-    return [Table("bound_comparison",
-                  ("bath_sites", "bath_dim", "mean_trace_distance", "stderr",
-                   "typicality_bound"), rows)]
+        return [(n_bath, 2**n_bath, rep.value, rep.stderr,
+                 dense.typicality_bound(2, 2**n_bath))]
+    return _table_plan("bound_comparison",
+                       ("bath_sites", "bath_dim", "mean_trace_distance", "stderr",
+                        "typicality_bound"), specs, rows, dense_dim=2)
 
 
-def _run_chi_independence(cfg: RunConfig) -> list[Table]:
+def _distance_plan(cfg: RunConfig, sources: list, name: str,
+                   columns: tuple[str, ...], label: Callable) -> Plan:
+    """Average-state distance of each source's ensemble under the norm
+    param, one row each: label(source), then distance and stderr."""
+    norm = cfg.params["norm"]
+    ensembles._metric(norm)  # rejects an unknown norm before any draw
+
+    def rows(spec):
+        rep = ensembles.average_state_distance(spec, norm)
+        return [label(spec.source) + (rep.value, rep.stderr)]
+    return _table_plan(name, columns, _grid(cfg, sources), rows,
+                       dense_dim=max(map(ensembles.total_dim, sources), default=0))
+
+
+@_register("chi-independence",
+           "average-state distance for several chi next to the full Haar ensemble",
+           {"n": 3, "chis": [2, 4], "norm": "trace"})
+def _plan_chi_independence(cfg: RunConfig) -> Plan:
     """Average-state distance for small bond dimensions next to the
     full Haar ensemble at the same sample count."""
-    p = cfg.params
-    n = int(p["n"])
-    rows = []
-    for idx, chi in enumerate(p["chis"]):
-        spec = EnsembleSpec(RmpsSource(n, 2, int(chi)), cfg.r, subseed(cfg.seed, idx))
-        rep = ensembles.average_state_distance(spec, p.get("norm", "trace"))
-        rows.append((f"rmps-chi{chi}", int(chi), rep.value, rep.stderr))
-    spec = EnsembleSpec(CueSource((2,) * n), cfg.r, subseed(cfg.seed, len(p["chis"])))
-    rep = ensembles.average_state_distance(spec, p.get("norm", "trace"))
-    rows.append(("cue", 0, rep.value, rep.stderr))
-    return [Table("chi_independence", ("label", "chi", "distance", "stderr"), rows)]
+    sources = _chi_sources(cfg.params) + [CueSource((2,) * int(cfg.params["n"]))]
+    return _distance_plan(cfg, sources, "chi_independence",
+                          ("label", "chi", "distance", "stderr"),
+                          lambda src: (f"rmps-chi{src.bond_dim}", src.bond_dim)
+                          if isinstance(src, RmpsSource) else ("cue", 0))
 
 
-def _run_distance_vs_chi(cfg: RunConfig) -> list[Table]:
-    """Average-state distance as a function of bond dimension."""
-    p = cfg.params
-    n = int(p["n"])
-    rows = []
-    for idx, chi in enumerate(p["chis"]):
-        spec = EnsembleSpec(RmpsSource(n, 2, int(chi)), cfg.r, subseed(cfg.seed, idx))
-        rep = ensembles.average_state_distance(spec, p.get("norm", "trace"))
-        rows.append((int(chi), rep.value, rep.stderr))
-    return [Table("distance_vs_chi", ("chi", "distance", "stderr"), rows)]
+@_register("distance-vs-chi",
+           "average-state distance as a function of bond dimension",
+           {"n": 4, "chis": [1, 2, 3, 4, 6, 8], "norm": "trace"}, default_r=300)
+def _plan_distance_vs_chi(cfg: RunConfig) -> Plan:
+    return _distance_plan(cfg, _chi_sources(cfg.params), "distance_vs_chi",
+                          ("chi", "distance", "stderr"), lambda src: (src.bond_dim,))
 
 
-def _run_linear_chi_scan(cfg: RunConfig) -> list[Table]:
+@_register("linear-chi-scan",
+           "average-state distance across lengths with chi growing as ratio * n",
+           {"ns": [2, 3, 4, 5, 6, 7], "ratio": 1, "norm": "trace"}, default_r=300)
+def _plan_linear_chi_scan(cfg: RunConfig) -> Plan:
     """Average-state distance across chain lengths with the bond
     dimension growing linearly, chi = ratio * n."""
-    p = cfg.params
-    ratio = int(p["ratio"])
-    rows = []
-    for idx, n in enumerate(p["ns"]):
-        n = int(n)
-        chi = max(1, ratio * n)
-        spec = EnsembleSpec(RmpsSource(n, 2, chi), cfg.r, subseed(cfg.seed, idx))
-        rep = ensembles.average_state_distance(spec, p.get("norm", "trace"))
-        rows.append((n, chi, rep.value, rep.stderr))
-    return [Table("linear_chi_scan", ("n", "chi", "distance", "stderr"), rows)]
+    ratio = int(cfg.params["ratio"])
+    sources = [RmpsSource(int(n), 2, max(1, ratio * int(n))) for n in cfg.params["ns"]]
+    return _distance_plan(cfg, sources, "linear_chi_scan",
+                          ("n", "chi", "distance", "stderr"),
+                          lambda src: (src.n_sites, src.bond_dim))
 
 
-def _run_purity_scaling(cfg: RunConfig) -> list[Table]:
+@_register("purity-scaling",
+           "purity of the average state vs sample count, cross term split out",
+           {"n": 6, "chi": 2, "source": "rmps", "homogeneous": False,
+            "boundary": "obc", "r_values": [20, 50, 100, 200, 500]})
+def _plan_purity_scaling(cfg: RunConfig) -> Plan:
     """Purity of the average state versus sample count, split into the
     1/r term and the overlap cross term."""
     p = cfg.params
-    n, chi = int(p["n"]), int(p["chi"])
-    src = _source_from_params(p, n, chi)
+    src = _source_from_params(p, int(p["n"]), int(p["chi"]))
     d = ensembles.total_dim(src)
-    rows = []
-    for r in p["r_values"]:
-        r = int(r)
-        spec = EnsembleSpec(src, r, cfg.seed)  # shared seed: ensembles nest
+    specs = [EnsembleSpec(src, int(r), cfg.seed) for r in p["r_values"]]  # ensembles nest
+
+    def rows(spec):
+        r = spec.r
         rep = ensembles.purity_of_average_via_overlaps(spec)
-        rows.append((r, rep.value, rep.value + 1.0 / r, rep.stderr,
-                     1.0 / r + 1.0 / d))
-    return [Table("purity_vs_r",
-                  ("r", "cross_term", "purity", "stderr_cross", "mixed_floor"),
-                  rows)]
+        return [(r, rep.value, rep.value + 1.0 / r, rep.stderr, 1.0 / r + 1.0 / d)]
+    return _table_plan("purity_vs_r",
+                       ("r", "cross_term", "purity", "stderr_cross", "mixed_floor"),
+                       specs, rows, pairwise=True)
 
 
-def _run_purity_error(cfg: RunConfig) -> list[Table]:
+@_register("purity-error",
+           "relative error of the purity cross term across chain lengths",
+           {"chi": 2, "ns": [6, 10, 14, 18], "homogeneous": False,
+            "boundary": "obc"})
+def _plan_purity_error(cfg: RunConfig) -> Plan:
     """Relative error of the cross term against the maximally mixed
     purity across chain lengths."""
     p = cfg.params
     chi = int(p["chi"])
-    rows = []
-    for idx, n in enumerate(p["ns"]):
-        n = int(n)
-        src = RmpsSource(n, 2, chi, bool(p.get("homogeneous", False)),
-                         p.get("boundary", "obc"))
-        spec = EnsembleSpec(src, cfg.r, subseed(cfg.seed, idx))
+
+    def rows(spec):
+        n = spec.source.n_sites
         rep = ensembles.purity_of_average_via_overlaps(spec)
-        rel = ensembles.purity_relative_error(spec, rep)
-        rows.append((n, chi, rel, rep.stderr * 2**n))
-    return [Table("purity_relative_error",
-                  ("n", "chi", "relative_error", "stderr"), rows)]
+        return [(n, chi, ensembles.purity_relative_error(spec, rep), rep.stderr * 2**n)]
+    return _table_plan("purity_relative_error", ("n", "chi", "relative_error", "stderr"),
+                       _grid(cfg, [_source_from_params(p, int(n), chi) for n in p["ns"]]),
+                       rows, pairwise=True)
 
 
-def _run_q_histogram(cfg: RunConfig) -> list[Table]:
-    """Histogram and summary statistics of the entanglement measure Q."""
+@_register("q-histogram",
+           "histogram and summary of the entanglement measure Q",
+           {"n": 8, "chi": 4, "bins": 100, "source": "rmps",
+            "homogeneous": False, "boundary": "obc"}, default_r=1000)
+def _plan_q_histogram(cfg: RunConfig) -> Plan:
     p = cfg.params
-    n, chi = int(p["n"]), int(p["chi"])
-    src = _source_from_params(p, n, chi)
-    spec = EnsembleSpec(src, cfg.r, cfg.seed)
-    hist, mean_rep, std_rep = ensembles.q_statistics(spec, int(p["bins"]))
-    hist_rows = [
-        (float(hist.bin_edges[i]), float(hist.bin_edges[i + 1]), int(hist.counts[i]))
-        for i in range(hist.counts.size)
-    ]
-    stats_rows = [(mean_rep.value, mean_rep.stderr, std_rep.value, std_rep.stderr,
-                   dense.cue_global_entanglement(n))]
-    return [
-        Table("q_histogram", ("bin_left", "bin_right", "count"), hist_rows),
-        Table("q_stats",
-              ("mean", "stderr_mean", "stddev", "stderr_stddev", "haar_mean"),
-              stats_rows),
-    ]
+    n, bins = int(p["n"]), int(p["bins"])
+    spec = EnsembleSpec(_source_from_params(p, n, int(p["chi"])), cfg.r, cfg.seed)
+    if bins < 1 or cfg.r < 2:
+        raise ConfigError(f"Q statistics need bins >= 1 and r >= 2, got {bins} and {cfg.r}")
+
+    def execute():
+        hist, mean_rep, std_rep = ensembles.q_statistics(spec, bins)
+        hist_rows = [
+            (float(hist.bin_edges[i]), float(hist.bin_edges[i + 1]), int(hist.counts[i]))
+            for i in range(hist.counts.size)
+        ]
+        stats_rows = [(mean_rep.value, mean_rep.stderr, std_rep.value, std_rep.stderr,
+                       dense.cue_global_entanglement(n))]
+        return [
+            Table("q_histogram", ("bin_left", "bin_right", "count"), hist_rows),
+            Table("q_stats",
+                  ("mean", "stderr_mean", "stddev", "stderr_stddev", "haar_mean"),
+                  stats_rows),
+        ]
+    return Plan([spec], execute)
 
 
-def _run_q_vs_chi(cfg: RunConfig) -> list[Table]:
-    """Mean of Q versus bond dimension with the exact Haar mean."""
-    p = cfg.params
-    n = int(p["n"])
-    exact = dense.cue_global_entanglement(n)
-    rows = []
-    for idx, chi in enumerate(p["chis"]):
-        spec = EnsembleSpec(RmpsSource(n, 2, int(chi)), cfg.r, subseed(cfg.seed, idx))
+@_register("q-vs-chi",
+           "mean Q vs bond dimension with the exact Haar mean",
+           {"n": 6, "chis": [2, 4, 8, 16, 32]})
+def _plan_q_vs_chi(cfg: RunConfig) -> Plan:
+    exact = dense.cue_global_entanglement(int(cfg.params["n"]))
+    if cfg.r < 2:
+        raise ConfigError("Q statistics need at least two samples")
+
+    def rows(spec):
         _, mean_rep, _ = ensembles.q_statistics(spec)
-        rows.append((int(chi), mean_rep.value, mean_rep.stderr, exact,
-                     abs(mean_rep.value - exact)))
-    return [Table("q_vs_chi",
-                  ("chi", "q_mean", "stderr", "haar_mean", "abs_deviation"), rows)]
+        return [(spec.source.bond_dim, mean_rep.value, mean_rep.stderr, exact,
+                 abs(mean_rep.value - exact))]
+    return _table_plan("q_vs_chi", ("chi", "q_mean", "stderr", "haar_mean", "abs_deviation"),
+                       _grid(cfg, _chi_sources(cfg.params)), rows)
 
 
-def _run_q_stddev(cfg: RunConfig) -> list[Table]:
-    """Standard deviation of Q versus bond dimension."""
-    p = cfg.params
-    n = int(p["n"])
-    rows = []
-    for idx, chi in enumerate(p["chis"]):
-        spec = EnsembleSpec(RmpsSource(n, 2, int(chi)), cfg.r, subseed(cfg.seed, idx))
+@_register("q-stddev",
+           "standard deviation of Q vs bond dimension",
+           {"n": 6, "chis": [2, 4, 8, 16, 32, 64]})
+def _plan_q_stddev(cfg: RunConfig) -> Plan:
+    if cfg.r < 2:
+        raise ConfigError("Q statistics need at least two samples")
+
+    def rows(spec):
         _, _, std_rep = ensembles.q_statistics(spec)
-        rows.append((int(chi), std_rep.value, std_rep.stderr))
-    return [Table("q_stddev_vs_chi", ("chi", "q_stddev", "stderr"), rows)]
+        return [(spec.source.bond_dim, std_rep.value, std_rep.stderr)]
+    return _table_plan("q_stddev_vs_chi", ("chi", "q_stddev", "stderr"),
+                       _grid(cfg, _chi_sources(cfg.params)), rows)
 
 
 def _qubit_split(p: dict) -> tuple[int, int, int]:
@@ -284,42 +365,54 @@ def _qubit_split(p: dict) -> tuple[int, int, int]:
     n, d_a = int(p["n"]), int(p["d_a"])
     if d_a < 1:
         raise DimensionError(f"d_a must be positive, got {d_a}")
+    if d_a & (d_a - 1) or d_a > 2**n:
+        raise DimensionError(f"d_a must be a power of two no larger than 2^n, got {d_a}")
     return n, d_a, 2**n // d_a
 
 
-def _run_moments_vs_chi(cfg: RunConfig) -> list[Table]:
+@_register("moments-vs-chi",
+           "subsystem moment deviations from exact Haar values vs bond dimension",
+           {"n": 6, "d_a": 8, "ms": [2, 3, 4], "chis": [2, 4, 8, 16]})
+def _plan_moments_vs_chi(cfg: RunConfig) -> Plan:
     """Deviation of subsystem moments from the exact Haar values versus
     bond dimension."""
     p = cfg.params
     n, d_a, d_b = _qubit_split(p)
     ms = [int(m) for m in p["ms"]]
-    rows = []
-    for idx, chi in enumerate(p["chis"]):
-        spec = EnsembleSpec(RmpsSource(n, 2, int(chi)), cfg.r, subseed(cfg.seed, idx))
-        for m, rep in zip(ms, ensembles.moment_comparisons(spec, d_a, ms)):
-            rows.append((int(chi), m, rep.value, rep.stderr,
-                         dense.cue_purity_moment(m, d_a, d_b)))
-    return [Table("moments_vs_chi",
-                  ("chi", "m", "abs_deviation", "stderr", "haar_value"), rows)]
+    exact = [dense.cue_purity_moment(m, d_a, d_b) for m in ms]
+
+    def rows(spec):
+        reports = ensembles.moment_comparisons(spec, d_a, ms)
+        return [(spec.source.bond_dim, m, rep.value, rep.stderr, ref)
+                for m, ref, rep in zip(ms, exact, reports)]
+    return _table_plan("moments_vs_chi", ("chi", "m", "abs_deviation", "stderr", "haar_value"),
+                       _grid(cfg, _chi_sources(p)), rows, dense_dim=d_a)
 
 
-def _run_min_eig_vs_chi(cfg: RunConfig) -> list[Table]:
+@_register("min-eig-vs-chi",
+           "mean smallest subsystem eigenvalue vs bond dimension, with reference",
+           {"n": 6, "d_a": 8, "chis": [2, 4, 8, 16]})
+def _plan_min_eig_vs_chi(cfg: RunConfig) -> Plan:
     """Mean smallest subsystem eigenvalue versus bond dimension, next
-    to the exact Haar mean for the d_a-by-2^n/d_a split.  That reference
-    is computed before any sample is drawn, so a split beyond its cap
-    fails at once with exit code 3."""
+    to the exact Haar mean for the d_a-by-2^n/d_a split.  The plan
+    checks that reference's cap; the run computes it before its first
+    draw."""
     p = cfg.params
     n, d_a, d_b = _qubit_split(p)
-    ref = dense.cue_min_eigenvalue(d_a, d_b)
-    rows = []
-    for idx, chi in enumerate(p["chis"]):
-        spec = EnsembleSpec(RmpsSource(n, 2, int(chi)), cfg.r, subseed(cfg.seed, idx))
-        rep = ensembles.min_eig_comparison(spec, d_a)
-        mean = float(rep.per_sample.mean())
-        rows.append((int(chi), mean, rep.stderr, ref, rep.value))
-    return [Table("min_eig_vs_chi",
-                  ("chi", "mean_min_eig", "stderr", "reference", "abs_deviation"),
-                  rows)]
+    dense.check_min_eig_cap(d_a, d_b)
+    specs = _grid(cfg, _chi_sources(p))
+
+    def execute():
+        ref = dense.cue_min_eigenvalue(d_a, d_b)
+        rows = []
+        for spec in specs:
+            rep = ensembles.min_eig_comparison(spec, d_a)
+            mean = float(rep.per_sample.mean())
+            rows.append((spec.source.bond_dim, mean, rep.stderr, ref, rep.value))
+        return [Table("min_eig_vs_chi",
+                      ("chi", "mean_min_eig", "stderr", "reference", "abs_deviation"),
+                      rows)]
+    return Plan(specs, execute, dense_dim=d_a)
 
 
 def _parse_chi_rule(rule: str) -> Callable[[int], int]:
@@ -335,7 +428,11 @@ def _parse_chi_rule(rule: str) -> Callable[[int], int]:
     raise ConfigError(f"chi_rule must look like 'const:4' or 'linear:1', got {rule!r}")
 
 
-def _run_concentration_scan(cfg: RunConfig) -> list[Table]:
+@_register("concentration-scan",
+           "spread of a one-site expectation value across chain lengths",
+           {"op": "z", "site": 0, "ns": [4, 6, 8, 10], "chi_rule": "linear:1",
+            "homogeneous": False, "boundary": "obc"})
+def _plan_concentration_scan(cfg: RunConfig) -> Plan:
     """Sample standard deviation of a one-site expectation value across
     chain lengths under a bond dimension rule."""
     p = cfg.params
@@ -344,109 +441,48 @@ def _run_concentration_scan(cfg: RunConfig) -> list[Table]:
         raise ConfigError(f"op must be one of {sorted(PAULI)}, got {p['op']!r}")
     obs = LocalObservable((op,), int(p["site"]))
     rule = _parse_chi_rule(p["chi_rule"])
-    reports = ensembles.concentration_scan(
-        obs, rule, [int(n) for n in p["ns"]], cfg.r, cfg.seed,
-        homogeneous=bool(p.get("homogeneous", False)),
-        boundary=p.get("boundary", "obc"))
-    rows = []
-    for rep in reports:
-        src = rep.spec.source
-        rows.append((src.n_sites, src.bond_dim, rep.value, rep.stderr,
-                     float(rep.per_sample.mean())))
-    return [Table("concentration",
-                  ("n", "chi", "stddev_f", "stderr_stddev", "mean_f"), rows)]
+    ns = [int(n) for n in p["ns"]]
+    short = [n for n in ns if n < obs.start_site + obs.n_sites]
+    if short:
+        raise DimensionError(f"observable on site {obs.start_site} does not fit "
+                             f"in chains of {short} sites")
+    homogeneous, boundary = bool(p.get("homogeneous", False)), p.get("boundary", "obc")
+    # seeded as ensembles.concentration_scan seeds them: length n by subseed(seed, n)
+    specs = _grid(cfg, [RmpsSource(n, 2, rule(n), homogeneous, boundary) for n in ns],
+                  keys=ns)
+
+    def rows(spec):
+        rep = ensembles.concentration(spec, obs)
+        return [(spec.source.n_sites, spec.source.bond_dim, rep.value, rep.stderr,
+                 float(rep.per_sample.mean()))]
+    return _table_plan("concentration", ("n", "chi", "stddev_f", "stderr_stddev", "mean_f"),
+                       specs, rows)
 
 
-def _run_twirl_compare(cfg: RunConfig) -> list[Table]:
+@_register("twirl-compare",
+           "Monte Carlo unitary twirl vs vectorized-permutation expression",
+           {"n_copies": 2, "dim": 2, "r_values": [200, 800, 3200]}, default_r=1)
+def _plan_twirl_compare(cfg: RunConfig) -> Plan:
     """Largest entrywise gap between the Monte Carlo unitary twirl and
     the sum of vectorized-permutation projectors."""
     p = cfg.params
     n_copies, dim = int(p["n_copies"]), int(p["dim"])
-    perm = dense.permutation_twirl(n_copies, dim)
-    rows = []
-    for r in p["r_values"]:
-        r = int(r)
-        mc = dense.haar_twirl_monte_carlo(n_copies, dim, r, cfg.seed)
-        dev = float(np.abs(mc - perm).max())
-        rows.append((n_copies, dim, r, dev, 5.0 / np.sqrt(r)))
-    return [Table("twirl_compare",
-                  ("n_copies", "dim", "r", "max_abs_deviation", "mc_noise_scale"),
-                  rows)]
+    r_values = [int(r) for r in p["r_values"]]
+    if n_copies < 1 or dim < 1 or min(r_values, default=1) < 1:
+        raise DimensionError(f"n_copies, dim and r_values must be positive, got "
+                             f"{n_copies}, {dim}, {r_values}")
 
-
-REGISTRY: dict[str, Experiment] = {}
-
-
-def _register(name, summary, defaults, runner, default_r=500):
-    REGISTRY[name] = Experiment(name, summary, defaults, runner, default_r)
-
-
-_register("avg-state-convergence",
-          "running trace distance of the average state to maximal mixedness vs r",
-          {"n": 3, "chi": 2, "source": "rmps", "homogeneous": False,
-           "boundary": "obc"},
-          _run_avg_state_convergence)
-_register("subsystem-convergence",
-          "mean block distance from maximal mixedness vs block size, with bound",
-          {"n": 6, "chi": 4, "max_length": 3, "source": "rmps",
-           "homogeneous": False, "boundary": "obc"},
-          _run_subsystem_convergence, default_r=300)
-_register("bound-comparison",
-          "one-site distance from maximal mixedness vs bath size, with bound",
-          {"chi": 8, "bath_sizes": [3, 4, 5, 6, 7], "source": "cue"},
-          _run_bound_comparison, default_r=200)
-_register("chi-independence",
-          "average-state distance for several chi next to the full Haar ensemble",
-          {"n": 3, "chis": [2, 4], "norm": "trace"},
-          _run_chi_independence)
-_register("distance-vs-chi",
-          "average-state distance as a function of bond dimension",
-          {"n": 4, "chis": [1, 2, 3, 4, 6, 8], "norm": "trace"},
-          _run_distance_vs_chi, default_r=300)
-_register("linear-chi-scan",
-          "average-state distance across lengths with chi growing as ratio * n",
-          {"ns": [2, 3, 4, 5, 6, 7], "ratio": 1, "norm": "trace"},
-          _run_linear_chi_scan, default_r=300)
-_register("purity-scaling",
-          "purity of the average state vs sample count, cross term split out",
-          {"n": 6, "chi": 2, "source": "rmps", "homogeneous": False,
-           "boundary": "obc", "r_values": [20, 50, 100, 200, 500]},
-          _run_purity_scaling)
-_register("purity-error",
-          "relative error of the purity cross term across chain lengths",
-          {"chi": 2, "ns": [6, 10, 14, 18], "homogeneous": False,
-           "boundary": "obc"},
-          _run_purity_error)
-_register("q-histogram",
-          "histogram and summary of the entanglement measure Q",
-          {"n": 8, "chi": 4, "bins": 100, "source": "rmps",
-           "homogeneous": False, "boundary": "obc"},
-          _run_q_histogram, default_r=1000)
-_register("q-vs-chi",
-          "mean Q vs bond dimension with the exact Haar mean",
-          {"n": 6, "chis": [2, 4, 8, 16, 32]},
-          _run_q_vs_chi)
-_register("q-stddev",
-          "standard deviation of Q vs bond dimension",
-          {"n": 6, "chis": [2, 4, 8, 16, 32, 64]},
-          _run_q_stddev)
-_register("moments-vs-chi",
-          "subsystem moment deviations from exact Haar values vs bond dimension",
-          {"n": 6, "d_a": 8, "ms": [2, 3, 4], "chis": [2, 4, 8, 16]},
-          _run_moments_vs_chi)
-_register("min-eig-vs-chi",
-          "mean smallest subsystem eigenvalue vs bond dimension, with reference",
-          {"n": 6, "d_a": 8, "chis": [2, 4, 8, 16]},
-          _run_min_eig_vs_chi)
-_register("concentration-scan",
-          "spread of a one-site expectation value across chain lengths",
-          {"op": "z", "site": 0, "ns": [4, 6, 8, 10], "chi_rule": "linear:1",
-           "homogeneous": False, "boundary": "obc"},
-          _run_concentration_scan)
-_register("twirl-compare",
-          "Monte Carlo unitary twirl vs vectorized-permutation expression",
-          {"n_copies": 2, "dim": 2, "r_values": [200, 800, 3200]},
-          _run_twirl_compare, default_r=1)
+    def execute():
+        perm = dense.permutation_twirl(n_copies, dim)
+        rows = []
+        for r in r_values:
+            mc = dense.haar_twirl_monte_carlo(n_copies, dim, r, cfg.seed)
+            dev = float(np.abs(mc - perm).max())
+            rows.append((n_copies, dim, r, dev, 5.0 / np.sqrt(r)))
+        return [Table("twirl_compare",
+                      ("n_copies", "dim", "r", "max_abs_deviation", "mc_noise_scale"),
+                      rows)]
+    return Plan([], execute, dense_dim=dim ** (2 * n_copies))
 
 
 # -- config handling ---------------------------------------------------------
@@ -516,57 +552,29 @@ def load_config(path, overrides=(), seed_flag=None, out_flag=None) -> RunConfig:
     return RunConfig(name, params, r, seed, Path(top["out"]), top["format"])
 
 
+def plan(cfg: RunConfig) -> Plan:
+    """Check cfg's params and build every ensemble of the run, drawing
+    nothing.  Raises ConfigError or DimensionError (exit code 2), also
+    for a param of the wrong JSON type, or CapExceededError (exit 3)."""
+    try:
+        planned = REGISTRY[cfg.experiment].plan(cfg)
+    except TypeError as exc:
+        raise ConfigError(f"a parameter of {cfg.experiment} has the wrong type: {exc}")
+    for spec in planned.specs:
+        if isinstance(spec.source, CueSource):
+            dense.check_amplitude_cap(ensembles.total_dim(spec.source))
+    dense.check_density_cap(planned.dense_dim)
+    return planned
+
+
 def validate_config(cfg: RunConfig) -> list[str]:
-    """Dry-run dimension and cap checks; returns diagnostics (empty = ok)."""
-    problems: list[str] = []
-    p = cfg.params
-    dense_dims = []
-    if "n" in p:
-        n = int(p["n"])
-        if n < 1:
-            problems.append(f"n must be positive, got {n}")
-        if cfg.experiment in ("avg-state-convergence", "chi-independence",
-                              "distance-vs-chi", "q-histogram"):
-            dense_dims.append(2**n)
-    if "ns" in p:
-        bad = [n for n in p["ns"] if int(n) < 1]
-        if bad:
-            problems.append(f"ns entries must be positive, got {bad}")
-        if cfg.experiment == "linear-chi-scan":
-            dense_dims.extend(2 ** int(n) for n in p["ns"])
-    if "bath_sizes" in p:
-        dense_dims.extend(2 ** (1 + int(b)) for b in p["bath_sizes"])
-    if "chi" in p and int(p["chi"]) < 1:
-        problems.append(f"chi must be positive, got {p['chi']}")
-    if "chis" in p and any(int(c) < 1 for c in p["chis"]):
-        problems.append(f"chis entries must be positive, got {p['chis']}")
-    if "d_a" in p:
-        n, d_a = int(p.get("n", 0)), int(p["d_a"])
-        if d_a < 1 or (d_a & (d_a - 1)) != 0 or d_a >= 2**n:
-            problems.append(f"d_a must be a power of two below 2^n, got {d_a}")
-    if "chi_rule" in p:
-        try:
-            _parse_chi_rule(p["chi_rule"])
-        except ConfigError as exc:
-            problems.append(str(exc))
-    if cfg.experiment == "min-eig-vs-chi" and int(p["d_a"]) >= 1:
-        try:
-            dense.check_min_eig_cap(int(p["d_a"]), 2 ** int(p["n"]) // int(p["d_a"]))
-        except CapExceededError as exc:
-            problems.append(str(exc))
-    if cfg.experiment == "twirl-compare":
-        op_dim = int(p["dim"]) ** (2 * int(p["n_copies"]))
-        if op_dim > DENSITY_DIM_CAP:
-            problems.append(f"twirl operator dimension {op_dim} exceeds cap "
-                            f"{DENSITY_DIM_CAP}")
-    for d in dense_dims:
-        if d > DENSE_AMPLITUDE_CAP:
-            problems.append(f"dense state dimension {d} exceeds cap "
-                            f"{DENSE_AMPLITUDE_CAP}")
-        elif d > DENSITY_DIM_CAP:
-            problems.append(f"density matrix dimension {d} exceeds cap "
-                            f"{DENSITY_DIM_CAP}")
-    return problems
+    """The problem that stops the run's plan, if any (empty = ok): the
+    checks ``run`` makes before its first draw.  Nothing is sampled."""
+    try:
+        plan(cfg)
+    except (ValueError, CapExceededError) as exc:
+        return [str(exc)]
+    return []
 
 
 # Nominal contraction throughput used to turn work units into a rough time
@@ -575,39 +583,28 @@ _NOMINAL_UNITS_PER_S = 2e8
 
 
 def cost_estimate(cfg: RunConfig) -> str:
-    """One-line work and memory estimate, no computation performed.
+    """One-line work and memory estimate of the planned run, nothing drawn.
 
-    Work: r * N * D * chi^3 units per sampled sweep, summed over the
-    parameter grid, plus r(r-1)/2 pairwise sweeps for the overlap-based
-    purity experiments.  Memory: the largest dense array the run holds.
+    Work, summed over the planned ensembles: r * N * D * chi^3 units
+    (r * d for Haar states of dimension d), plus r(r-1)/2 pair sweeps of
+    N * D * chi^2 (or d) units for pairwise estimators.  Memory: the
+    largest dense matrix or the r samples of the largest ensemble.
     """
-    p = cfg.params
-    ns = [int(x) for x in p.get("ns", [])] or [int(p.get("n", 1))]
-    chis = [int(x) for x in p.get("chis", [])] or [int(p.get("chi", 1))]
-    if "ratio" in p:
-        chis = [max(1, int(p["ratio"]) * n) for n in ns]
-    if "chi_rule" in p:
-        rule = _parse_chi_rule(p["chi_rule"])
-        chis = [rule(n) for n in ns]
-    r_values = [int(x) for x in p.get("r_values", [])] or [cfg.r]
-    sweep_r = max(r_values)
-    units = sum(sweep_r * n * 2 * chi**3 for n in ns for chi in chis)
-    if cfg.experiment in ("purity-scaling", "purity-error"):
-        pairs = sweep_r * (sweep_r - 1) // 2
-        units += sum(pairs * n * 2 * max(chis) ** 2 for n in ns)
-    dense_dim = 2 ** max(ns) if _touches_dense(cfg.experiment) else 0
-    mem_mb = 16 * dense_dim * dense_dim / 2**20 if dense_dim else \
-        16 * max(chis) ** 2 * max(ns) * sweep_r / 2**20
+    planned = plan(cfg)
+    units, mem_bytes = 0, 16 * planned.dense_dim**2
+    for spec in planned.specs:
+        src = spec.source
+        if isinstance(src, RmpsSource):
+            held = src.n_sites * src.phys_dim * src.bond_dim**2
+            sweep = held * src.bond_dim
+        else:
+            held = sweep = ensembles.total_dim(src)
+        pairs = spec.r * (spec.r - 1) // 2 if planned.pairwise else 0
+        units += spec.r * sweep + pairs * held
+        mem_bytes = max(mem_bytes, 16 * spec.r * held)
     return (f"estimate: ~{units:.2e} contraction units "
             f"(~{units / _NOMINAL_UNITS_PER_S:.2g} s nominal), "
-            f"~{mem_mb:.2f} MB peak arrays")
-
-
-def _touches_dense(experiment: str) -> bool:
-    return experiment in ("avg-state-convergence", "chi-independence",
-                          "distance-vs-chi", "linear-chi-scan",
-                          "subsystem-convergence", "bound-comparison",
-                          "moments-vs-chi", "min-eig-vs-chi", "twirl-compare")
+            f"~{mem_bytes / 2**20:.2f} MB peak arrays")
 
 
 # -- output writing ----------------------------------------------------------
@@ -651,8 +648,10 @@ def _sha256(path: Path) -> str:
 def run(cfg: RunConfig) -> list[Path]:
     """Execute a run and write tables plus the manifest.
 
-    The manifest is written even if the runner raises; the exception is
-    re-raised afterwards for exit-code mapping.
+    The run is planned first, so a bad parameter or a cap fails before
+    any sample is drawn.  The manifest is written even if planning or
+    execution raises; the exception is re-raised afterwards for
+    exit-code mapping.
     """
     out_dir = cfg.out
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -671,7 +670,7 @@ def run(cfg: RunConfig) -> list[Path]:
     written: list[Path] = []
     t0 = time.perf_counter()
     try:
-        tables = REGISTRY[cfg.experiment].runner(cfg)
+        tables = plan(cfg).execute()
         for table in tables:
             path = write_table(table, out_dir, cfg.format)
             written.append(path)

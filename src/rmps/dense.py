@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -96,10 +96,15 @@ class DenseState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated density matrix with per-site dimension metadata."""
+    """Validated density matrix with per-site dimension metadata.
+
+    ``spectrum`` holds the eigenvalues in ascending order, from the
+    eigensolve that checks positivity; estimators reuse it.
+    """
 
     dims: tuple[int, ...]
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dims = _validated_dims(self.dims)
@@ -112,10 +117,12 @@ class DensityMatrix:
         tr = np.trace(mat)
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace {tr} deviates from 1 beyond 1e-10")
-        if np.linalg.eigvalsh(mat)[0] < -1e-10:
+        spectrum = np.linalg.eigvalsh(mat)
+        if spectrum[0] < -1e-10:
             raise ValueError("density matrix has an eigenvalue below -1e-10")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def total_dim(self) -> int:
@@ -211,17 +218,23 @@ def hs_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) ->
     return float(np.linalg.norm(_as_matrix(a) - _as_matrix(b)))
 
 
+def _spectrum(rho: DensityMatrix | np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues; a DensityMatrix gives its stored spectrum."""
+    if isinstance(rho, DensityMatrix):
+        return rho.spectrum
+    return np.linalg.eigvalsh(_as_matrix(rho))
+
+
 def purity_moment(rho: DensityMatrix | np.ndarray, m: int) -> float:
     """Tr(rho^m) for integer m >= 1, via the eigenvalues."""
     if m < 1:
         raise ValueError(f"moment order must be a positive integer, got {m}")
-    lam = np.linalg.eigvalsh(_as_matrix(rho))
-    return float(np.sum(lam**m))
+    return float(np.sum(_spectrum(rho)**m))
 
 
 def min_eigenvalue(rho: DensityMatrix | np.ndarray) -> float:
     """Smallest eigenvalue; roundoff negatives above -1e-10 clamp to 0."""
-    lam = float(np.linalg.eigvalsh(_as_matrix(rho))[0])
+    lam = float(_spectrum(rho)[0])
     if -1e-10 <= lam < 0.0:
         return 0.0
     return lam

@@ -231,11 +231,11 @@ def _metric(norm: str) -> Callable[[np.ndarray, np.ndarray], float]:
     raise ValueError(f"norm must be 'trace' or 'hs', got {norm!r}")
 
 
-def _reduced(spec: EnsembleSpec, index: int, length: int) -> np.ndarray:
+def _reduced(spec: EnsembleSpec, index: int, length: int) -> DensityMatrix:
     src = spec.source
     if isinstance(src, RmpsSource):
-        return draw_mps(spec, index).reduced_density_matrix(0, length).matrix
-    return dense.partial_trace(draw_dense(spec, index), range(length)).matrix
+        return draw_mps(spec, index).reduced_density_matrix(0, length)
+    return dense.partial_trace(draw_dense(spec, index), range(length))
 
 
 def subsystem_distance_stats(spec: EnsembleSpec, length: int, norm: str = "trace",
@@ -257,7 +257,7 @@ def subsystem_distance_stats(spec: EnsembleSpec, length: int, norm: str = "trace
     elif reference == "empirical":
         acc = np.zeros((block_dim, block_dim), dtype=np.complex128)
         for i in range(spec.r):
-            acc += _reduced(spec, i, length)
+            acc += _reduced(spec, i, length).matrix
         ref = acc / spec.r
     else:
         raise ValueError(f"reference must be 'exact' or 'empirical', got {reference!r}")
@@ -394,9 +394,9 @@ def moment_comparisons(spec: EnsembleSpec, d_a: int,
     The exact Haar value of every order is computed before any sample
     is drawn, so an order without one (any m outside {2, 3, 4}, m < 1
     included) raises ValueError at once.  Each sample is then drawn
-    and reduced once and its spectrum computed once; Tr(rho_A^m) is
-    the sum of the m-th powers of those eigenvalues for every order,
-    bitwise what dense.purity_moment gives.
+    and reduced once, and the spectrum its validation computed serves
+    every order: Tr(rho_A^m) is the sum of the m-th powers of those
+    eigenvalues, bitwise what dense.purity_moment gives.
     """
     dims = source_dims(spec.source)
     length = _split_length(dims, d_a)
@@ -406,7 +406,7 @@ def moment_comparisons(spec: EnsembleSpec, d_a: int,
     t0 = time.perf_counter()
     vals = np.empty((len(ms), spec.r))
     for i in range(spec.r):
-        lam = np.linalg.eigvalsh(_reduced(spec, i, length))
+        lam = _reduced(spec, i, length).spectrum
         for j, m in enumerate(ms):
             vals[j, i] = float(np.sum(lam**m))
     reports = []
@@ -439,6 +439,22 @@ def min_eig_comparison(spec: EnsembleSpec, d_a: int) -> EnsembleReport:
     return rep
 
 
+def concentration(spec: EnsembleSpec, observable: LocalObservable) -> EnsembleReport:
+    """Sample standard deviation of <observable> over a matrix product
+    state ensemble, with a delta-method stderr and the per-sample values
+    attached."""
+    src = spec.source
+    if observable.start_site + observable.n_sites > src.n_sites:
+        raise DimensionError(f"observable does not fit in a chain of {src.n_sites} sites")
+    t0 = time.perf_counter()
+    vals = np.empty(spec.r)
+    for i in range(spec.r):
+        vals[i] = draw_mps(spec, i).expectation(observable)
+    return EnsembleReport(spec, f"concentration[n={src.n_sites},chi={src.bond_dim}]",
+                          float(vals.std(ddof=1)), _stddev_se(vals), vals,
+                          time.perf_counter() - t0)
+
+
 def concentration_scan(observable: LocalObservable,
                        chi_rule: Callable[[int], int] | Mapping[int, int],
                        n_values: Sequence[int], r: int, seed: Seed | int,
@@ -448,24 +464,11 @@ def concentration_scan(observable: LocalObservable,
 
     For each n in ``n_values`` an ensemble of r states with bond
     dimension chi_rule(n) is drawn (master seed subseed(seed, n)) and
-    the sample standard deviation of <observable> is reported, with a
-    delta-method stderr and the per-sample values attached.
+    its concentration report is computed.
     """
     rule = chi_rule if callable(chi_rule) else chi_rule.__getitem__
     seed = as_seed(seed)
-    out = []
-    for n in n_values:
-        if observable.start_site + observable.n_sites > n:
-            raise DimensionError(f"observable does not fit in a chain of {n} sites")
-        chi = int(rule(n))
-        spec = EnsembleSpec(
-            RmpsSource(n, observable.phys_dim, chi, homogeneous, boundary),
-            r, subseed(seed, n))
-        t0 = time.perf_counter()
-        vals = np.empty(r)
-        for i in range(r):
-            vals[i] = draw_mps(spec, i).expectation(observable)
-        out.append(EnsembleReport(spec, f"concentration[n={n},chi={chi}]",
-                                  float(vals.std(ddof=1)), _stddev_se(vals),
-                                  vals, time.perf_counter() - t0))
-    return out
+    return [concentration(EnsembleSpec(
+                RmpsSource(n, observable.phys_dim, int(rule(n)), homogeneous, boundary),
+                r, subseed(seed, n)), observable)
+            for n in n_values]

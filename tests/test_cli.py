@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 
-from rmps.cli import REGISTRY, load_config, main, validate_config
+from rmps import ensembles
+from rmps.cli import REGISTRY, cost_estimate, load_config, main, validate_config
 
 # Small parameter sets that exercise every registered experiment quickly.
 TINY = {
@@ -26,6 +30,13 @@ TINY = {
     "twirl-compare": {"r": 1, "params": {"n_copies": 2, "dim": 2,
                                          "r_values": [50, 100]}},
 }
+
+
+# Recorded tables of every TINY config at seed 5; they pin each
+# experiment's seed map and table layout across versions.  Integers and
+# labels are compared exactly, floats to 1e-9 relative, because the last
+# digits of some floats depend on the BLAS thread count.
+GOLDEN_TABLES = Path(__file__).resolve().parent / "data" / "tiny_tables_seed5.json"
 
 
 def write_cfg(tmp_path, name, body=None, fname="cfg.json"):
@@ -69,6 +80,45 @@ def test_every_registered_experiment_runs(tmp_path):
             lines = path.read_text().splitlines()
             assert len(lines) == entry["rows"] + 1  # header + data
             assert hashlib.sha256(path.read_bytes()).hexdigest() == entry["sha256"]
+
+
+def _cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _same_cell(got, want) -> bool:
+    if isinstance(want, float):
+        return isinstance(got, float) and math.isclose(got, want, rel_tol=1e-9,
+                                                       abs_tol=0.0)
+    return type(got) is type(want) and got == want
+
+
+def test_tiny_tables_match_golden(tmp_path):
+    """Every experiment's TINY config at seed 5 reproduces the recorded
+    tables: same table names, columns and row count, and every cell."""
+    golden = json.loads(GOLDEN_TABLES.read_text())
+    assert set(golden) == set(TINY)
+    for name, body in TINY.items():
+        cfg = write_cfg(tmp_path, name, dict(body, seed=5), fname=f"{name}.json")
+        out_dir = tmp_path / name
+        assert main(["run", str(cfg), "--out", str(out_dir)]) == 0, name
+        got = {}
+        for path in out_dir.glob("*.csv"):
+            header, *rows = (line.split(",") for line in path.read_text().splitlines())
+            got[path.stem] = (header, [[_cell(c) for c in row] for row in rows])
+        assert sorted(got) == sorted(golden[name]), name
+        for tname, want in golden[name].items():
+            header, rows = got[tname]
+            assert header == want["columns"], (name, tname)
+            assert len(rows) == len(want["rows"]), (name, tname)
+            for i, (row, want_row) in enumerate(zip(rows, want["rows"])):
+                assert all(_same_cell(g, w) for g, w in zip(row, want_row)), \
+                    (name, tname, i, row, want_row)
 
 
 def test_unknown_experiment_rejected_naming_registry(tmp_path, capsys):
@@ -274,3 +324,57 @@ def test_validate_config_diagnostics_direct(tmp_path):
                                 {"params": {"chi_rule": "cubic:2"}}))
     problems = validate_config(cfg)
     assert any("chi_rule" in p for p in problems)
+
+
+# (experiment, params, validate exit, run exit, text of the run's error)
+PREFLIGHT = [
+    ("q-histogram", {"n": 11, "chi": 2}, 0, 0, None),
+    ("bound-comparison", {"bath_sizes": [10], "source": "rmps"}, 0, 0, None),
+    ("bound-comparison", {"bath_sizes": [10], "source": "cue"}, 0, 0, None),
+    ("subsystem-convergence", {"n": 4, "max_length": 5}, 2, 2, "max_length"),
+    ("subsystem-convergence", {"n": 11, "max_length": 11}, 2, 3, "exceeds cap"),
+    ("concentration-scan", {"ns": [8, 10, 3], "site": 4}, 2, 2, "does not fit"),
+    ("q-histogram", {"bins": 0}, 2, 2, "bins"),
+    ("purity-scaling", {"r_values": [300, 0]}, 2, 2, "sample count must be positive"),
+    ("distance-vs-chi", {"norm": "l1"}, 2, 2, "norm must be"),
+    ("q-histogram", {"boundary": "open"}, 2, 2, "boundary must be"),
+    ("q-histogram", {"source": "haar"}, 2, 2, "source must be 'rmps' or 'cue'"),
+    ("q-vs-chi", {"chis": 4}, 2, 2, "wrong type"),
+]
+
+
+def test_run_and_validate_share_one_preflight(tmp_path, monkeypatch):
+    """validate and run reach the same verdict on each config, and a run
+    that fails does so before its first draw, with an error manifest."""
+    draws = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            draws.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("draw_mps", "draw_dense"):
+        monkeypatch.setattr(ensembles, name, counted(getattr(ensembles, name)))
+    for k, (name, params, validate_code, run_code, error) in enumerate(PREFLIGHT):
+        case = (name, params)
+        cfg = write_cfg(tmp_path, name, {"r": 20, "params": params}, fname=f"{k}.json")
+        assert main(["validate", str(cfg)]) == validate_code, case
+        draws.clear()
+        out_dir = tmp_path / f"out{k}"
+        assert main(["run", str(cfg), "--out", str(out_dir)]) == run_code, case
+        manifest = read_manifest(out_dir)
+        if run_code:
+            assert draws == [], case
+            assert manifest["status"] == "error", case
+            assert error in manifest["error"], (case, manifest["error"])
+        else:
+            assert draws and manifest["status"] == "ok", case
+
+
+def test_cost_estimate_sums_planned_grid(tmp_path):
+    """The linear scan's defaults plan six (n, chi = n) ensembles of 300
+    samples; the estimate sums those, not every n against every chi."""
+    cfg = load_config(write_cfg(tmp_path, "linear-chi-scan"))
+    units = re.search(r"~(\S+) contraction units", cost_estimate(cfg)).group(1)
+    assert float(units) == float(f"{sum(300 * n * 2 * n**3 for n in range(2, 8)):.2e}")

@@ -1,4 +1,4 @@
-"""Smoke test: the sampler demos run to completion."""
+"""Smoke test: every demo runs to completion."""
 
 import os
 import subprocess
@@ -11,7 +11,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", ["haar_sampling.py", "sequential_mps.py",
-                                  "average_state.py"])
+                                  "average_state.py", "purity_scaling.py",
+                                  "twirl_expressions.py", "entanglement_statistics.py",
+                                  "concentration_typicality.py"])
 def test_demo_runs(name):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=ROOT,

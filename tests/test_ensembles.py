@@ -357,6 +357,27 @@ def test_moment_comparisons_draw_each_sample_once(monkeypatch):
     assert calls == []
 
 
+def test_reduced_state_spectra_are_solved_once(monkeypatch):
+    """The moment and smallest-eigenvalue estimators reuse the spectrum
+    that validated each reduced state: r eigensolves per ensemble, not
+    2r, and per-sample values bitwise those of solving each state again."""
+    real = np.linalg.eigvalsh
+    for source in (RmpsSource(4, 2, 2), CueSource((2, 2, 2, 2))):
+        spec = EnsembleSpec(source, 7, Seed(3))
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+            moments = moment_comparisons(spec, 4, [2, 3])
+            assert len(calls) == spec.r
+            min_eig = min_eig_comparison(spec, 4)
+            assert len(calls) == 2 * spec.r
+        rhos = [ensembles._reduced(spec, i, 2).matrix for i in range(spec.r)]
+        for m, rep in zip([2, 3], moments):
+            assert np.array_equal(rep.per_sample, [purity_moment(rho, m) for rho in rhos])
+        assert np.array_equal(min_eig.per_sample,
+                              [dense.min_eigenvalue(rho) for rho in rhos])
+
+
 def test_min_eig_comparison_product_states():
     """Bond dimension 1: reduced states are pure, the smallest eigenvalue is
     0 and the deviation equals the full reference of the 4-by-16 split."""
