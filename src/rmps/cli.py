@@ -79,12 +79,14 @@ class Plan:
     """A run worked out and checked before its first draw: every
     ensemble it draws, the linear dimension of the largest dense matrix
     it holds (0 for none), whether its estimator sweeps all r(r-1)/2
-    sample pairs, and ``execute``, which draws and returns the tables."""
+    sample pairs, the work units it spends outside its ensembles, and
+    ``execute``, which draws and returns the tables."""
 
     specs: list[EnsembleSpec]
     execute: Callable[[], list[Table]]
     dense_dim: int = 0
     pairwise: bool = False
+    extra_units: int = 0
 
 
 @dataclass
@@ -124,8 +126,17 @@ def _source_from_params(p: dict, n: int, chi: int) -> RmpsSource | CueSource:
                       p.get("boundary", "obc"))
 
 
+def _axis(p: dict, key: str) -> list:
+    """The grid axis params[key]; an empty one is a config error, so
+    no run writes a table without rows."""
+    values = list(p[key])
+    if not values:
+        raise ConfigError(f"{key} must not be empty")
+    return values
+
+
 def _chi_sources(p: dict) -> list[RmpsSource]:
-    return [RmpsSource(int(p["n"]), 2, int(chi)) for chi in p["chis"]]
+    return [RmpsSource(int(p["n"]), 2, int(chi)) for chi in _axis(p, "chis")]
 
 
 def _grid(cfg: RunConfig, sources: list, keys=None) -> list[EnsembleSpec]:
@@ -177,6 +188,8 @@ def _plan_subsystem_convergence(cfg: RunConfig) -> Plan:
     p = cfg.params
     n, max_length = int(p["n"]), int(p["max_length"])
     src = _source_from_params(p, n, int(p["chi"]))
+    if max_length < 1:
+        raise ConfigError(f"max_length must be at least 1, got {max_length}")
     if max_length > n:
         raise DimensionError(f"max_length {max_length} exceeds the {n} sites of the chain")
     lengths = range(1, max_length + 1)
@@ -202,7 +215,7 @@ def _plan_bound_comparison(cfg: RunConfig) -> Plan:
     typicality bound as the bath grows."""
     p = cfg.params
     specs = _grid(cfg, [_source_from_params(p, 1 + int(b), int(p["chi"]))
-                        for b in p["bath_sizes"]])
+                        for b in _axis(p, "bath_sizes")])
 
     def rows(spec):
         n_bath = len(ensembles.source_dims(spec.source)) - 1
@@ -256,7 +269,7 @@ def _plan_linear_chi_scan(cfg: RunConfig) -> Plan:
     """Average-state distance across chain lengths with the bond
     dimension growing linearly, chi = ratio * n."""
     ratio = int(cfg.params["ratio"])
-    sources = [RmpsSource(int(n), 2, max(1, ratio * int(n))) for n in cfg.params["ns"]]
+    sources = [RmpsSource(int(n), 2, max(1, ratio * int(n))) for n in _axis(cfg.params, "ns")]
     return _distance_plan(cfg, sources, "linear_chi_scan",
                           ("n", "chi", "distance", "stderr"),
                           lambda src: (src.n_sites, src.bond_dim))
@@ -272,7 +285,7 @@ def _plan_purity_scaling(cfg: RunConfig) -> Plan:
     p = cfg.params
     src = _source_from_params(p, int(p["n"]), int(p["chi"]))
     d = ensembles.total_dim(src)
-    specs = [EnsembleSpec(src, int(r), cfg.seed) for r in p["r_values"]]  # ensembles nest
+    specs = [EnsembleSpec(src, int(r), cfg.seed) for r in _axis(p, "r_values")]  # ensembles nest
 
     def rows(spec):
         r = spec.r
@@ -298,7 +311,7 @@ def _plan_purity_error(cfg: RunConfig) -> Plan:
         rep = ensembles.purity_of_average_via_overlaps(spec)
         return [(n, chi, ensembles.purity_relative_error(spec, rep), rep.stderr * 2**n)]
     return _table_plan("purity_relative_error", ("n", "chi", "relative_error", "stderr"),
-                       _grid(cfg, [_source_from_params(p, int(n), chi) for n in p["ns"]]),
+                       _grid(cfg, [_source_from_params(p, int(n), chi) for n in _axis(p, "ns")]),
                        rows, pairwise=True)
 
 
@@ -378,7 +391,7 @@ def _plan_moments_vs_chi(cfg: RunConfig) -> Plan:
     bond dimension."""
     p = cfg.params
     n, d_a, d_b = _qubit_split(p)
-    ms = [int(m) for m in p["ms"]]
+    ms = [int(m) for m in _axis(p, "ms")]
     exact = [dense.cue_purity_moment(m, d_a, d_b) for m in ms]
 
     def rows(spec):
@@ -395,8 +408,8 @@ def _plan_moments_vs_chi(cfg: RunConfig) -> Plan:
 def _plan_min_eig_vs_chi(cfg: RunConfig) -> Plan:
     """Mean smallest subsystem eigenvalue versus bond dimension, next
     to the exact Haar mean for the d_a-by-2^n/d_a split.  The plan
-    checks that reference's cap; the run computes it before its first
-    draw."""
+    checks that reference's cap; the run computes it once, before its
+    first draw, and every ensemble is compared against it."""
     p = cfg.params
     n, d_a, d_b = _qubit_split(p)
     dense.check_min_eig_cap(d_a, d_b)
@@ -406,7 +419,7 @@ def _plan_min_eig_vs_chi(cfg: RunConfig) -> Plan:
         ref = dense.cue_min_eigenvalue(d_a, d_b)
         rows = []
         for spec in specs:
-            rep = ensembles.min_eig_comparison(spec, d_a)
+            rep = ensembles.min_eig_comparison(spec, d_a, ref)
             mean = float(rep.per_sample.mean())
             rows.append((spec.source.bond_dim, mean, rep.stderr, ref, rep.value))
         return [Table("min_eig_vs_chi",
@@ -441,7 +454,7 @@ def _plan_concentration_scan(cfg: RunConfig) -> Plan:
         raise ConfigError(f"op must be one of {sorted(PAULI)}, got {p['op']!r}")
     obs = LocalObservable((op,), int(p["site"]))
     rule = _parse_chi_rule(p["chi_rule"])
-    ns = [int(n) for n in p["ns"]]
+    ns = [int(n) for n in _axis(p, "ns")]
     short = [n for n in ns if n < obs.start_site + obs.n_sites]
     if short:
         raise DimensionError(f"observable on site {obs.start_site} does not fit "
@@ -467,8 +480,8 @@ def _plan_twirl_compare(cfg: RunConfig) -> Plan:
     the sum of vectorized-permutation projectors."""
     p = cfg.params
     n_copies, dim = int(p["n_copies"]), int(p["dim"])
-    r_values = [int(r) for r in p["r_values"]]
-    if n_copies < 1 or dim < 1 or min(r_values, default=1) < 1:
+    r_values = [int(r) for r in _axis(p, "r_values")]
+    if n_copies < 1 or dim < 1 or min(r_values) < 1:
         raise DimensionError(f"n_copies, dim and r_values must be positive, got "
                              f"{n_copies}, {dim}, {r_values}")
 
@@ -482,7 +495,9 @@ def _plan_twirl_compare(cfg: RunConfig) -> Plan:
         return [Table("twirl_compare",
                       ("n_copies", "dim", "r", "max_abs_deviation", "mc_noise_scale"),
                       rows)]
-    return Plan([], execute, dense_dim=dim ** (2 * n_copies))
+    # each sample accumulates one dim^(2 n_copies)-square Kronecker power
+    return Plan([], execute, dense_dim=dim ** (2 * n_copies),
+                extra_units=sum(r * dim ** (4 * n_copies) for r in r_values))
 
 
 # -- config handling ---------------------------------------------------------
@@ -586,12 +601,13 @@ def cost_estimate(cfg: RunConfig) -> str:
     """One-line work and memory estimate of the planned run, nothing drawn.
 
     Work, summed over the planned ensembles: r * N * D * chi^3 units
-    (r * d for Haar states of dimension d), plus r(r-1)/2 pair sweeps of
-    N * D * chi^2 (or d) units for pairwise estimators.  Memory: the
-    largest dense matrix or the r samples of the largest ensemble.
+    (r * d for Haar states of dimension d), plus, for pairwise
+    estimators, the same units again for each of the r(r-1)/2 pairs of
+    the Gram sweep, plus the plan's work outside its ensembles.  Memory:
+    the largest dense matrix or the r samples of the largest ensemble.
     """
     planned = plan(cfg)
-    units, mem_bytes = 0, 16 * planned.dense_dim**2
+    units, mem_bytes = planned.extra_units, 16 * planned.dense_dim**2
     for spec in planned.specs:
         src = spec.source
         if isinstance(src, RmpsSource):
@@ -600,7 +616,7 @@ def cost_estimate(cfg: RunConfig) -> str:
         else:
             held = sweep = ensembles.total_dim(src)
         pairs = spec.r * (spec.r - 1) // 2 if planned.pairwise else 0
-        units += spec.r * sweep + pairs * held
+        units += (spec.r + pairs) * sweep
         mem_bytes = max(mem_bytes, 16 * spec.r * held)
     return (f"estimate: ~{units:.2e} contraction units "
             f"(~{units / _NOMINAL_UNITS_PER_S:.2g} s nominal), "

@@ -22,6 +22,14 @@ open chain is the same ring closed by the rank-one pair built from its
 boundary vectors.  Contractions never build the full chi^2 x chi^2
 transfer matrices except in the two functions that expose them; a sweep
 costs O(N D chi^3) on open chains and O(N D chi^5) on rings.
+
+The Gram block of a stack of states, the overlaps <psi_m|psi_j> of a
+block of bra rows m against a range of ket columns j, is one sweep of a
+second transfer step that carries both sample axes.  Each step is two
+batched matrix products, one batched over the rows with the columns
+folded into the product's row dimension and one the other way round,
+and the ring's boundary axis folds in the same way, so open chains and
+rings run the same kernel.
 """
 
 from __future__ import annotations
@@ -309,6 +317,15 @@ def overlap(a: Mps, b: Mps) -> complex:
 # rings, where it holds the bond pair at the far end of the sweep until
 # the closing contraction ties it to the other end.  A ket may carry
 # leading axes: a stack of states runs against one bra in one sweep.
+#
+# The Gram step instead gives the bra a row axis m and the ket a column
+# axis j.  Its environment env[p, q, b, s, d] leads with the two sample
+# axes and keeps the boundary index s between the two bonds; each step
+# swaps the sides, so the layout alternates between
+#     [m, j, ket bond, s, bra bond]   and   [j, m, bra bond, s, ket bond],
+# and the conjugate rides on the bra's site tensors, never on the
+# environment.  Each step then reads the environment without a copy, and
+# its one transpose of a block-sized array sits between the two products.
 
 
 @dataclass(frozen=True)
@@ -316,8 +333,7 @@ class _Stack:
     """States of one shape stacked on a leading sample axis.
 
     Holds the fields the sweeps read from an Mps: ``tensors[k]`` has
-    shape (m, D, chi, chi) and the boundary vectors (m, chi).  An integer
-    index gives back one state's fields, a slice a smaller stack.
+    shape (m, D, chi, chi) and the boundary vectors (m, chi).
     """
 
     tensors: tuple
@@ -343,11 +359,39 @@ class _Stack:
     def bond_dim(self) -> int:
         return self.tensors[0].shape[-1]
 
-    def __getitem__(self, idx) -> "_Stack":
-        def part(v):
-            return None if v is None else v[idx]
-        return _Stack(tuple(t[idx] for t in self.tensors), self.boundary,
-                      part(self.left_vec), part(self.right_vec))
+    @property
+    def pair_elements(self) -> int:
+        """Elements per (row, column) pair of the largest array of a
+        Gram step: D * chi^2 times the boundary axis, chi^2 on rings."""
+        chi = self.bond_dim
+        return self.tensors[0].shape[1] * chi**2 * (chi**2 if self.boundary == "pbc" else 1)
+
+    def gram(self, rows: slice, cols: slice) -> np.ndarray:
+        """Raw overlaps G[m, j] = <state rows[m] | state cols[j]>, one
+        sweep of _gram_step over the sites from the right."""
+        left, env = self._gram_boundary(rows, cols)
+        for k, t in enumerate(reversed(self.tensors)):
+            ket, bra = t[cols], t[rows].conj()
+            env = _gram_step(ket, env, bra) if k % 2 == 0 else _gram_step(bra, env, ket)
+        if len(self.tensors) % 2:
+            env = env.transpose(1, 0, 4, 3, 2)
+        return (env * left).sum(axis=(-3, -2, -1))
+
+    def _gram_boundary(self, rows: slice, cols: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Boundary pair (L, R) of a Gram sweep in the [m, j, a, s, c]
+        layout: the pair of _boundary for every (row, column) pair."""
+        if self.boundary == "obc":
+            def pair(ket, bra):
+                return (ket[np.newaxis, :, :, np.newaxis, np.newaxis]
+                        * bra[:, np.newaxis, np.newaxis, np.newaxis, :])
+            return (pair(self.left_vec[cols].conj(), self.left_vec[rows]),
+                    pair(self.right_vec[cols], self.right_vec[rows].conj()))
+        chi = self.bond_dim
+        eye = np.eye(chi * chi, dtype=np.complex128).reshape(chi, chi, chi * chi)
+        samples = range(len(self.tensors[0]))
+        eye = np.broadcast_to(eye.transpose(0, 2, 1),
+                              (len(samples[rows]), len(samples[cols]), chi, chi * chi, chi))
+        return eye, eye
 
 
 def _boundary(ket, bra=None) -> tuple[np.ndarray, np.ndarray]:
@@ -384,6 +428,25 @@ def _step(ket: np.ndarray, env: np.ndarray, bra: np.ndarray,
     t = np.matmul(ket.reshape(*lead, d * chi, chi), env.reshape(*env.shape[:-2], -1))
     t = t.reshape(*t.shape[:-2], d, chi, *env.shape[-2:])
     return np.tensordot(t, bra.conj(), axes=([-4, -2], [0, 2])).swapaxes(-1, -2)
+
+
+def _gram_step(x: np.ndarray, env: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Absorb one site into a Gram environment:
+    env'[q, p, c, s, a] = sum x[q, i, a, b] env[p, q, b, s, d] y[p, i, c, d].
+
+    The sweep passes (x, y) = (ket, conj(bra)) and (conj(bra), ket) on
+    alternate sites.  y goes first, as one product batched over p with
+    (q, b, s) folded into its rows; x second, batched over q with
+    (p, c, s) folded in.
+    """
+    p, q, chi_b, s, chi_d = env.shape
+    d, chi_a, chi_c = x.shape[-3], x.shape[-2], y.shape[-2]
+    t = np.matmul(env.reshape(p, q * chi_b * s, chi_d),
+                  y.reshape(p, d * chi_c, chi_d).swapaxes(-1, -2))
+    t = t.reshape(p, q, chi_b, s, d, chi_c).transpose(1, 0, 5, 3, 4, 2)
+    t = np.matmul(t.reshape(q, p * chi_c * s, d * chi_b),
+                  x.swapaxes(-1, -2).reshape(q, d * chi_b, chi_a))
+    return t.reshape(q, p, chi_c, s, chi_a)
 
 
 def _step_from_left(ket: np.ndarray, env: np.ndarray, bra: np.ndarray) -> np.ndarray:

@@ -7,8 +7,9 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from rmps import ensembles
+from rmps import dense, ensembles
 from rmps.cli import REGISTRY, cost_estimate, load_config, main, validate_config
 
 # Small parameter sets that exercise every registered experiment quickly.
@@ -378,3 +379,71 @@ def test_cost_estimate_sums_planned_grid(tmp_path):
     cfg = load_config(write_cfg(tmp_path, "linear-chi-scan"))
     units = re.search(r"~(\S+) contraction units", cost_estimate(cfg)).group(1)
     assert float(units) == float(f"{sum(300 * n * 2 * n**3 for n in range(2, 8)):.2e}")
+
+
+# (experiment, params) of configs whose grid is empty
+EMPTY_GRIDS = [
+    ("distance-vs-chi", {"chis": []}),
+    ("chi-independence", {"chis": []}),
+    ("q-vs-chi", {"chis": []}),
+    ("q-stddev", {"chis": []}),
+    ("moments-vs-chi", {"chis": []}),
+    ("moments-vs-chi", {"ms": []}),
+    ("min-eig-vs-chi", {"chis": []}),
+    ("linear-chi-scan", {"ns": []}),
+    ("purity-error", {"ns": []}),
+    ("concentration-scan", {"ns": []}),
+    ("bound-comparison", {"bath_sizes": []}),
+    ("purity-scaling", {"r_values": []}),
+    ("twirl-compare", {"r_values": []}),
+    ("subsystem-convergence", {"max_length": 0}),
+]
+
+
+@pytest.mark.parametrize("name,params", EMPTY_GRIDS)
+def test_empty_grid_is_a_config_error(tmp_path, monkeypatch, capsys, name, params):
+    """An empty grid exits 2 from validate and from run, before any draw,
+    and the run leaves an error manifest and no table."""
+    draws = []
+    for fn in ("draw_mps", "draw_dense"):
+        monkeypatch.setattr(ensembles, fn, lambda *a, fn=fn: draws.append(fn))
+    key = next(iter(params))
+    cfg = write_cfg(tmp_path, name, {"r": 5, "params": params})
+    assert main(["validate", str(cfg)]) == 2
+    assert key in capsys.readouterr().out
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out_dir)]) == 2
+    manifest = read_manifest(out_dir)
+    assert manifest["status"] == "error" and key in manifest["error"]
+    assert draws == []
+    assert [p.name for p in out_dir.iterdir()] == ["manifest.json"]
+
+
+def test_min_eig_reference_computed_once_per_run(tmp_path, monkeypatch):
+    """One exact evaluation serves every bond dimension of the run, and
+    the table carries its value bitwise."""
+    calls = []
+    exact = dense.cue_min_eigenvalue
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(dense, "cue_min_eigenvalue", counted)
+    cfg = write_cfg(tmp_path, "min-eig-vs-chi",
+                    {"r": 3, "params": {"n": 5, "d_a": 4, "chis": [2, 4, 8, 16]}})
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out_dir)]) == 0
+    assert calls == [(4, 8)]
+    rows = (out_dir / "min_eig_vs_chi.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(float(row.split(",")[3]) == exact(4, 8) for row in rows)
+
+
+def test_cost_estimate_counts_monte_carlo_twirl(tmp_path):
+    """twirl-compare plans no ensemble; its estimate is the Kronecker
+    accumulation, r * dim^(4 n_copies) units per r value."""
+    cfg = load_config(write_cfg(tmp_path, "twirl-compare"))
+    units = re.search(r"~(\S+) contraction units", cost_estimate(cfg)).group(1)
+    assert float(units) == float(f"{(200 + 800 + 3200) * 2**8:.2e}")
+    assert float(units) > 0

@@ -218,6 +218,86 @@ def test_purity_estimator_batched_block_matches_pairwise_overlaps():
         assert abs(purity_of_average_via_overlaps(spec).value - want) < 1e-12
 
 
+def _pairwise_purity_reference(spec):
+    """Cross term and jackknife stderr from one overlap call per pair."""
+    r = spec.r
+    if isinstance(spec.source, CueSource):
+        states = [draw_dense(spec, i).amplitudes for i in range(r)]
+
+        def weight(i, j):
+            return abs(np.vdot(states[i], states[j])) ** 2
+    else:
+        states = [draw_mps(spec, i) for i in range(r)]
+        norms = [m.norm_squared() for m in states]
+
+        def weight(i, j):
+            return abs(overlap(states[i], states[j])) ** 2 / (norms[i] * norms[j])
+    w = np.zeros((r, r))
+    for i in range(r):
+        for j in range(i + 1, r):
+            w[i, j] = w[j, i] = weight(i, j)
+    row_sums = w.sum(axis=1)
+    if r <= 2:
+        return row_sums.sum() / r**2, 0.0
+    loo = (row_sums.sum() - 2 * row_sums) / (r - 1) ** 2
+    return row_sums.sum() / r**2, np.sqrt((r - 1) / r * np.sum((loo - loo.mean()) ** 2))
+
+
+# (source, elements per pair of its Gram step: D chi^2, times chi^2 on rings)
+# with odd and even site counts, as the Gram sweep's layout alternates
+GRAM_SOURCES = [
+    (RmpsSource(5, 2, 3), 18),
+    (RmpsSource(4, 2, 2), 8),
+    (RmpsSource(5, 2, 2, boundary="pbc"), 32),
+    (RmpsSource(4, 2, 3, homogeneous=True, boundary="pbc"), 162),
+    (CueSource((2, 2, 2, 2)), 1),
+]
+
+
+@pytest.mark.parametrize("blocking", ["rows of one", "one block", "uneven blocks"])
+@pytest.mark.parametrize("idx", range(len(GRAM_SOURCES)))
+def test_purity_estimator_gram_blocks_match_pairwise_reference(monkeypatch, idx, blocking):
+    """Whatever the Gram block budget, the cross term and its stderr
+    equal the sum over pairs of single overlaps, to 1e-12 relative."""
+    src, pair_elements = GRAM_SOURCES[idx]
+    r = 12
+    budget = {"rows of one": 1, "one block": 2**40,
+              "uneven blocks": 5 * r * pair_elements}[blocking]
+    monkeypatch.setattr(ensembles, "_GRAM_BLOCK_ELEMENTS", budget)
+    seen = []
+    row_blocks = ensembles._row_blocks
+
+    def spy(n, per_pair):
+        seen.append((n, per_pair))
+        blocks = row_blocks(n, per_pair)
+        seen.append(blocks)
+        return blocks
+
+    monkeypatch.setattr(ensembles, "_row_blocks", spy)
+    spec = EnsembleSpec(src, r, subseed(29, idx))
+    rep = purity_of_average_via_overlaps(spec)
+    assert seen[0] == (r, pair_elements)
+    sizes = [stop - start for start, stop in seen[1]]
+    assert sum(sizes) == r
+    assert {"rows of one": sizes == [1] * r, "one block": sizes == [r],
+            "uneven blocks": sizes[0] == 5 and r % 5 != 0}[blocking]
+    cross, se = _pairwise_purity_reference(spec)
+    assert rep.value == pytest.approx(cross, rel=1e-12, abs=0)
+    assert rep.stderr == pytest.approx(se, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("idx", range(len(GRAM_SOURCES)))
+def test_purity_estimator_one_and_two_samples(idx, r):
+    """One sample has no pair; two have one pair.  Neither has a
+    jackknife stderr."""
+    spec = EnsembleSpec(GRAM_SOURCES[idx][0], r, subseed(31, idx))
+    rep = purity_of_average_via_overlaps(spec)
+    cross, _ = _pairwise_purity_reference(spec)
+    assert rep.value == pytest.approx(cross, rel=1e-12, abs=0)
+    assert rep.stderr == 0.0
+
+
 def test_purity_estimator_degenerate_ensembles(monkeypatch):
     """Orthogonal samples leave only the 1/r term; identical samples give
     purity exactly 1."""
