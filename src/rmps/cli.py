@@ -44,7 +44,7 @@ from . import __version__, dense, ensembles
 from .ensembles import CueSource, EnsembleSpec, RmpsSource
 from .errors import CapExceededError, DimensionError
 from .haar import Seed, subseed
-from .mps import LocalObservable
+from .mps import LocalObservable, _pair_elements
 
 PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
@@ -600,24 +600,33 @@ _NOMINAL_UNITS_PER_S = 2e8
 def cost_estimate(cfg: RunConfig) -> str:
     """One-line work and memory estimate of the planned run, nothing drawn.
 
-    Work, summed over the planned ensembles: r * N * D * chi^3 units
-    (r * d for Haar states of dimension d), plus, for pairwise
-    estimators, the same units again for each of the r(r-1)/2 pairs of
-    the Gram sweep, plus the plan's work outside its ensembles.  Memory:
-    the largest dense matrix or the r samples of the largest ensemble.
+    Work, summed over the planned ensembles: r * N * D * chi^3 units on
+    open chains and r * N * D * chi^5 on rings (r * d for Haar states of
+    dimension d), plus, for pairwise estimators, the same units again
+    for each of the r(r-1)/2 pairs of the Gram sweep, plus the plan's
+    work outside its ensembles.  Memory: the largest dense matrix or the
+    r samples of the largest ensemble, with four arrays of its largest
+    Gram block on top for pairwise estimators (a step's input
+    environment, its two products and the boundary pair).
     """
     planned = plan(cfg)
     units, mem_bytes = planned.extra_units, 16 * planned.dense_dim**2
     for spec in planned.specs:
         src = spec.source
         if isinstance(src, RmpsSource):
+            pair = _pair_elements(src.phys_dim, src.bond_dim, src.boundary)
             held = src.n_sites * src.phys_dim * src.bond_dim**2
-            sweep = held * src.bond_dim
+            sweep = src.n_sites * pair * src.bond_dim
         else:
             held = sweep = ensembles.total_dim(src)
+            pair = 1
         pairs = spec.r * (spec.r - 1) // 2 if planned.pairwise else 0
         units += (spec.r + pairs) * sweep
-        mem_bytes = max(mem_bytes, 16 * spec.r * held)
+        mem = 16 * spec.r * held
+        if planned.pairwise:
+            mem += 4 * 16 * pair * max((stop - start) * (spec.r - start) for start, stop
+                                       in ensembles._row_blocks(spec.r, pair))
+        mem_bytes = max(mem_bytes, mem)
     return (f"estimate: ~{units:.2e} contraction units "
             f"(~{units / _NOMINAL_UNITS_PER_S:.2g} s nominal), "
             f"~{mem_bytes / 2**20:.2f} MB peak arrays")

@@ -360,21 +360,13 @@ def q_statistics(spec: EnsembleSpec, bins: int = 100
     if spec.r < 2:
         raise ValueError("Q statistics need at least two samples")
     t0 = time.perf_counter()
-    n = len(dims)
     qs = np.empty(spec.r)
     for i in range(spec.r):
         if isinstance(spec.source, RmpsSource):
             rhos = draw_mps(spec, i).site_density_matrices()
-            purities = np.einsum("kij,kji->k", rhos, rhos).real
+            qs[i] = 2.0 - 2.0 * np.einsum("kij,kji->k", rhos, rhos).real.mean()
         else:
-            state = draw_dense(spec, i)
-            purities = np.empty(n)
-            psi = state.amplitudes.reshape(dims)
-            for k in range(n):
-                t = np.moveaxis(psi, k, 0).reshape(2, -1)
-                rho = t @ t.conj().T
-                purities[k] = np.einsum("ij,ji->", rho, rho).real
-        qs[i] = 2.0 - 2.0 * purities.mean()
+            qs[i] = dense.global_entanglement(draw_dense(spec, i))
     # Q lies in [0, 1] exactly; clip the ~1e-16 roundoff excursions so
     # every sample lands in a bin and the histogram total stays r.
     counts, edges = np.histogram(np.clip(qs, 0.0, 1.0), bins=bins, range=(0.0, 1.0))

@@ -14,22 +14,21 @@ columns a site keeps are ever formed: a sample is one thin QR over the
 stacked Ginibre columns of all its sites and one isometry check, and
 gives bitwise the cut of the full unitaries.
 
-Every contraction of a ket chain against a bra chain (norm, overlap,
-expectation value, block and site reduced states) is one transfer step
-swept over the sites, started and closed by a boundary pair (L, R).  On
-a ring both are the identity on the chi_ket * chi_bra bond pairs; an
-open chain is the same ring closed by the rank-one pair built from its
-boundary vectors.  Contractions never build the full chi^2 x chi^2
-transfer matrices except in the two functions that expose them; a sweep
-costs O(N D chi^3) on open chains and O(N D chi^5) on rings.
-
-The Gram block of a stack of states, the overlaps <psi_m|psi_j> of a
-block of bra rows m against a range of ket columns j, is one sweep of a
-second transfer step that carries both sample axes.  Each step is two
-batched matrix products, one batched over the rows with the columns
-folded into the product's row dimension and one the other way round,
-and the ring's boundary axis folds in the same way, so open chains and
-rings run the same kernel.
+Every contraction of ket chains against bra chains (norm, overlap,
+expectation value, block and site reduced states, the Gram block of a
+stack of states) is one transfer step swept over the sites, started and
+closed by one boundary pair (L, R).  Both sides carry a sample axis: a
+sweep gives the overlaps <psi_m|psi_j> of a block of bra rows m against
+a block of ket columns j, and a single contraction is the 1 x 1 block.
+On a ring L and R are the identity on the chi_ket * chi_bra bond pairs;
+an open chain is the same ring closed by the rank-one pair built from
+its boundary vectors.  Each step is two batched matrix products, one
+batched over the rows with the columns folded into the product's row
+dimension and one the other way round, and the ring's boundary axis
+folds in the same way, so open chains and rings run the same kernel.
+Contractions never build the full chi^2 x chi^2 transfer matrices
+except in the two functions that expose them; a sweep costs
+O(N D chi^3) per pair on open chains and O(N D chi^5) on rings.
 """
 
 from __future__ import annotations
@@ -142,7 +141,8 @@ class Mps:
 
     def norm_squared(self) -> float:
         """<psi|psi> of the raw, unnormalized state."""
-        return float(_contract(self, self).real)
+        one = _Stack.one(self)
+        return float(_gram(one, one)[0, 0].real)
 
     def expectation(self, obs: LocalObservable) -> float:
         """Normalized expectation value of a product observable.
@@ -158,11 +158,12 @@ class Mps:
             raise DimensionError(
                 f"observable on sites [{obs.start_site}, {obs.start_site + obs.n_sites}) "
                 f"does not fit in {self.n_sites} sites")
-        norm_sq = _contract(self, self).real
+        one = _Stack.one(self)
+        norm_sq = _gram(one, one)[0, 0].real
         if norm_sq <= 0.0:
             raise ValueError("state has zero norm")
         site_ops = {obs.start_site + j: op for j, op in enumerate(obs.site_ops)}
-        return float(_contract(self, self, site_ops).real) / norm_sq
+        return float(_gram(one, one, site_ops)[0, 0].real) / norm_sq
 
     def reduced_density_matrix(self, start: int, length: int,
                                cap: int = DENSITY_DIM_CAP) -> DensityMatrix:
@@ -178,14 +179,10 @@ class Mps:
             raise DimensionError(
                 f"block [{start}, {start + length}) does not fit in {n} sites")
         check_density_cap(d**length, cap)
-        left, right = _boundary(self, self)
-        for a in self.tensors[:start]:
-            left = _step_from_left(a, left, a)
-        for a in reversed(self.tensors[start + length:]):
-            right = _step(a, right, a)
+        lefts, rights = _environments(self, start, n - start - length)
         block = _multiply(np.eye(self.bond_dim, dtype=np.complex128)[np.newaxis],
                           self.tensors[start:start + length])
-        rho = _normalized(_open_pair(left, block, right, block))
+        rho = _normalized(_open_pair(lefts[-1], block, rights[-1], block))
         rho = (rho + rho.conj().T) / 2.0
         return DensityMatrix((d,) * length, rho)
 
@@ -195,11 +192,8 @@ class Mps:
         One environment sweep each way for the whole chain, so the total
         cost is O(N D chi^3) on open chains and O(N D chi^5) on rings.
         """
-        left, right = _boundary(self, self)
-        lefts, rights = [left], [right]
-        for a, b in zip(self.tensors[:-1], reversed(self.tensors[1:])):
-            lefts.append(_step_from_left(a, lefts[-1], a))
-            rights.append(_step(b, rights[-1], b))
+        n = self.n_sites
+        lefts, rights = _environments(self, n - 1, n - 1)
         return _normalized(np.stack([_open_pair(left, a, right, a) for left, a, right
                                      in zip(lefts, self.tensors, reversed(rights))]))
 
@@ -211,7 +205,10 @@ class Mps:
         """
         n, d = self.n_sites, self.phys_dim
         check_amplitude_cap(d**n, cap)
-        left, right = _boundary(self)
+        if self.boundary == "obc":
+            left, right = self.left_vec.conj()[:, np.newaxis], self.right_vec[:, np.newaxis]
+        else:
+            left = right = np.eye(self.bond_dim, dtype=np.complex128)
         psi = _multiply(left.T[np.newaxis], self.tensors)
         return DenseState((d,) * n, (psi * right.T).sum(axis=(1, 2)))
 
@@ -307,25 +304,24 @@ def overlap(a: Mps, b: Mps) -> complex:
         raise DimensionError("states must share site count and physical dimension")
     if a.boundary != b.boundary:
         raise DimensionError("states must share the boundary type")
-    return complex(_contract(b, a))
+    return complex(_gram(_Stack.one(b), _Stack.one(a))[0, 0])
 
 
 # -- the transfer step ------------------------------------------------------
 #
-# An environment env[..., a, c, s] carries the ket bond a, the bra bond c
-# and a boundary index s: size 1 on open chains, chi_ket * chi_bra on
-# rings, where it holds the bond pair at the far end of the sweep until
-# the closing contraction ties it to the other end.  A ket may carry
-# leading axes: a stack of states runs against one bra in one sweep.
-#
-# The Gram step instead gives the bra a row axis m and the ket a column
-# axis j.  Its environment env[p, q, b, s, d] leads with the two sample
-# axes and keeps the boundary index s between the two bonds; each step
-# swaps the sides, so the layout alternates between
-#     [m, j, ket bond, s, bra bond]   and   [j, m, bra bond, s, ket bond],
-# and the conjugate rides on the bra's site tensors, never on the
-# environment.  Each step then reads the environment without a copy, and
-# its one transpose of a block-sized array sits between the two products.
+# A sweep gives the bra a row axis m and the ket a column axis j.  Its
+# environment env[p, q, b, s, d] leads with the two sample axes and keeps
+# between the two bonds a boundary index s: size 1 on open chains,
+# chi_ket * chi_bra on rings, where it holds the bond pair at the far end
+# of the sweep until the closing contraction ties it to the other end.
+# A step swaps the sides: with (x, y) = (ket, conj(bra)) it reads the
+# layout [m, j, ket bond, s, bra bond] and writes [j, m, bra bond, s, ket
+# bond], and the other way round with (conj(bra), ket).  The conjugate
+# rides on the bra's site tensors, never on the environment.  A Gram
+# sweep lets the sides swap roles at every site, so each step reads the
+# environment without a copy and its one transpose of a block-sized array
+# sits between the two products; the single-pair environments of the
+# reduced states are transposed back instead (see _environments).
 
 
 @dataclass(frozen=True)
@@ -355,118 +351,118 @@ class _Stack:
         return cls(tuple(np.stack(tensors, axis=1)), m.boundary, stacked(lefts),
                    stacked(rights))
 
+    @classmethod
+    def one(cls, mps: Mps) -> "_Stack":
+        """A single state as a stack of one, viewing its arrays."""
+        def single(vec):
+            return None if vec is None else vec[np.newaxis]
+        return cls(tuple(t[np.newaxis] for t in mps.tensors), mps.boundary,
+                   single(mps.left_vec), single(mps.right_vec))
+
+    def __getitem__(self, samples: slice) -> "_Stack":
+        def part(vecs):
+            return None if vecs is None else vecs[samples]
+        return _Stack(tuple(t[samples] for t in self.tensors), self.boundary,
+                      part(self.left_vec), part(self.right_vec))
+
     @property
     def bond_dim(self) -> int:
         return self.tensors[0].shape[-1]
 
     @property
     def pair_elements(self) -> int:
-        """Elements per (row, column) pair of the largest array of a
-        Gram step: D * chi^2 times the boundary axis, chi^2 on rings."""
-        chi = self.bond_dim
-        return self.tensors[0].shape[1] * chi**2 * (chi**2 if self.boundary == "pbc" else 1)
+        return _pair_elements(self.tensors[0].shape[1], self.bond_dim, self.boundary)
 
     def gram(self, rows: slice, cols: slice) -> np.ndarray:
-        """Raw overlaps G[m, j] = <state rows[m] | state cols[j]>, one
-        sweep of _gram_step over the sites from the right."""
-        left, env = self._gram_boundary(rows, cols)
-        for k, t in enumerate(reversed(self.tensors)):
-            ket, bra = t[cols], t[rows].conj()
-            env = _gram_step(ket, env, bra) if k % 2 == 0 else _gram_step(bra, env, ket)
-        if len(self.tensors) % 2:
-            env = env.transpose(1, 0, 4, 3, 2)
-        return (env * left).sum(axis=(-3, -2, -1))
-
-    def _gram_boundary(self, rows: slice, cols: slice) -> tuple[np.ndarray, np.ndarray]:
-        """Boundary pair (L, R) of a Gram sweep in the [m, j, a, s, c]
-        layout: the pair of _boundary for every (row, column) pair."""
-        if self.boundary == "obc":
-            def pair(ket, bra):
-                return (ket[np.newaxis, :, :, np.newaxis, np.newaxis]
-                        * bra[:, np.newaxis, np.newaxis, np.newaxis, :])
-            return (pair(self.left_vec[cols].conj(), self.left_vec[rows]),
-                    pair(self.right_vec[cols], self.right_vec[rows].conj()))
-        chi = self.bond_dim
-        eye = np.eye(chi * chi, dtype=np.complex128).reshape(chi, chi, chi * chi)
-        samples = range(len(self.tensors[0]))
-        eye = np.broadcast_to(eye.transpose(0, 2, 1),
-                              (len(samples[rows]), len(samples[cols]), chi, chi * chi, chi))
-        return eye, eye
+        """Raw overlaps G[m, j] = <state rows[m] | state cols[j]>."""
+        return _gram(self[cols], self[rows])
 
 
-def _boundary(ket, bra=None) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary pair (L, R) of a sweep of ket against bra.
+def _pair_elements(phys_dim: int, bond_dim: int, boundary: str) -> int:
+    """Elements per (row, column) pair of the largest array of a sweep:
+    D * chi^2 times the boundary axis, chi^2 on rings."""
+    return phys_dim * bond_dim**2 * (bond_dim**2 if boundary == "pbc" else 1)
 
-    Open chains: L = left* (x) left and R = right (x) right*, each with a
-    trailing boundary axis of size 1.  Rings: both are the identity on
-    chi_ket * chi_bra, shaped (chi_ket, chi_bra, chi_ket * chi_bra).
-    Without a bra, the single-copy pair of the ket alone: (left*, right)
-    as columns, or the chi x chi identity twice.
+
+def _boundary(ket: _Stack, bra: _Stack) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary pair (L, R) of a sweep of kets j against bras m, in the
+    [m, j, ket bond, s, bra bond] layout.
+
+    Open chains: L = left* (x) left and R = right (x) right*, with a
+    boundary axis of size 1.  Rings: both are the identity on
+    chi_ket * chi_bra, the boundary axis holding the bond pair.
     """
     if ket.boundary == "obc":
-        if bra is None:
-            return ket.left_vec.conj()[..., np.newaxis], ket.right_vec[..., np.newaxis]
-        return (np.multiply.outer(ket.left_vec.conj(), bra.left_vec)[..., np.newaxis],
-                np.multiply.outer(ket.right_vec, bra.right_vec.conj())[..., np.newaxis])
-    if bra is None:
-        eye = np.eye(ket.bond_dim, dtype=np.complex128)
-    else:
-        dim = ket.bond_dim * bra.bond_dim
-        eye = np.eye(dim, dtype=np.complex128).reshape(ket.bond_dim, bra.bond_dim, dim)
+        def pair(k, b):
+            return (k[np.newaxis, :, :, np.newaxis, np.newaxis]
+                    * b[:, np.newaxis, np.newaxis, np.newaxis, :])
+        return (pair(ket.left_vec.conj(), bra.left_vec),
+                pair(ket.right_vec, bra.right_vec.conj()))
+    chi_k, chi_b = ket.bond_dim, bra.bond_dim
+    eye = np.eye(chi_k * chi_b, dtype=np.complex128).reshape(chi_k, chi_b, chi_k * chi_b)
+    eye = np.broadcast_to(eye.transpose(0, 2, 1), (len(bra.tensors[0]), len(ket.tensors[0]),
+                                                   chi_k, chi_k * chi_b, chi_b))
     return eye, eye
 
 
-def _step(ket: np.ndarray, env: np.ndarray, bra: np.ndarray,
-          op: np.ndarray | None = None) -> np.ndarray:
-    """Absorb one site into a right environment:
-    env'[..., a, c, s] = sum ket[..., i, a, b] env[..., b, d, s] conj(bra[i, c, d]),
-    with ket[i] replaced by sum_j op[i, j] ket[j] when an operator is given.
-    """
-    if op is not None:
-        ket = np.einsum("ij,...jab->...iab", op, ket)
-    *lead, d, chi, _ = ket.shape
-    t = np.matmul(ket.reshape(*lead, d * chi, chi), env.reshape(*env.shape[:-2], -1))
-    t = t.reshape(*t.shape[:-2], d, chi, *env.shape[-2:])
-    return np.tensordot(t, bra.conj(), axes=([-4, -2], [0, 2])).swapaxes(-1, -2)
-
-
 def _gram_step(x: np.ndarray, env: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Absorb one site into a Gram environment:
+    """Absorb one site into an environment:
     env'[q, p, c, s, a] = sum x[q, i, a, b] env[p, q, b, s, d] y[p, i, c, d].
 
-    The sweep passes (x, y) = (ket, conj(bra)) and (conj(bra), ket) on
-    alternate sites.  y goes first, as one product batched over p with
-    (q, b, s) folded into its rows; x second, batched over q with
-    (p, c, s) folded in.
+    y goes first, as one product batched over p with (q, b, s) folded
+    into its columns; x second, batched over q with (p, c, s) folded
+    into its rows.
     """
     p, q, chi_b, s, chi_d = env.shape
     d, chi_a, chi_c = x.shape[-3], x.shape[-2], y.shape[-2]
-    t = np.matmul(env.reshape(p, q * chi_b * s, chi_d),
-                  y.reshape(p, d * chi_c, chi_d).swapaxes(-1, -2))
-    t = t.reshape(p, q, chi_b, s, d, chi_c).transpose(1, 0, 5, 3, 4, 2)
+    t = np.matmul(y.reshape(p, d * chi_c, chi_d),
+                  env.reshape(p, q * chi_b * s, chi_d).swapaxes(-1, -2))
+    t = t.reshape(p, d, chi_c, q, chi_b, s).transpose(3, 0, 2, 5, 1, 4)
     t = np.matmul(t.reshape(q, p * chi_c * s, d * chi_b),
                   x.swapaxes(-1, -2).reshape(q, d * chi_b, chi_a))
     return t.reshape(q, p, chi_c, s, chi_a)
 
 
-def _step_from_left(ket: np.ndarray, env: np.ndarray, bra: np.ndarray) -> np.ndarray:
-    """Absorb one site into a left environment: the same step on
-    transposed site matrices."""
-    return _step(ket.swapaxes(-1, -2), env, bra.swapaxes(-1, -2))
+def _gram(ket: _Stack, bra: _Stack, site_ops: dict[int, np.ndarray] | None = None
+          ) -> np.ndarray:
+    """Raw overlaps G[m, j] = <bra m | ket j>, with site_ops[k] applied to
+    the kets' site k: one sweep from the right, closed by L.  The sides
+    swap roles at every site, (x, y) = (ket, conj(bra)) and then
+    (conj(bra), ket), so each step reads the last one's output as is."""
+    kets = list(ket.tensors)
+    for k, op in (site_ops or {}).items():
+        t = kets[k]
+        kets[k] = (op @ t.reshape(*t.shape[:2], -1)).reshape(t.shape)
+    left, env = _boundary(ket, bra)
+    for k, (x, y) in enumerate(zip(reversed(kets), reversed(bra.tensors))):
+        env = _gram_step(x, env, y.conj()) if k % 2 == 0 else _gram_step(y.conj(), env, x)
+    if len(kets) % 2:
+        env = env.transpose(1, 0, 4, 3, 2)
+    return (env * left).sum(axis=(-3, -2, -1))
 
 
-def _close(left: np.ndarray, right: np.ndarray):
-    """sum left[..., a, c, s] right[..., a, c, s]."""
-    return (left * right).sum(axis=(-3, -2, -1))
+def _environments(mps: Mps, n_left: int, n_right: int
+                  ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Left environments of <mps|mps> over its first n_left sites and
+    right ones over its last n_right, boundary first, each in the
+    [a, c, s] layout of _open_pair.
 
-
-def _contract(ket, bra, site_ops: dict[int, np.ndarray] | None = None):
-    """<bra|ket> with site_ops[k] on the ket side of site k."""
-    site_ops = site_ops or {}
-    left, right = _boundary(ket, bra)
-    for k in range(len(ket.tensors) - 1, -1, -1):
-        right = _step(ket.tensors[k], right, bra.tensors[k], site_ops.get(k))
-    return _close(left, right)
+    A left environment is the same sweep on transposed site matrices.
+    Every step absorbs the ket first, whatever the site's parity: one
+    transpose of each single-pair environment hands the step its
+    [j, m, bra bond, s, ket bond] layout.  The rounding of a reduced
+    state, which decides the near-zero eigenvalues of a rank-deficient
+    block, then follows one operand order on every site.
+    """
+    def sweep(env, sites):
+        envs = [env]
+        for t in sites:
+            envs.append(_gram_step(t.conj(), envs[-1].transpose(1, 0, 4, 3, 2), t))
+        return [env[0, 0].transpose(0, 2, 1) for env in envs]
+    one = _Stack.one(mps)
+    left, right = _boundary(one, one)
+    return (sweep(left, [t.swapaxes(-1, -2) for t in one.tensors[:n_left]]),
+            sweep(right, one.tensors[::-1][:n_right]))
 
 
 def _open_pair(left: np.ndarray, ket: np.ndarray, right: np.ndarray,

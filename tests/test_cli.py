@@ -447,3 +447,22 @@ def test_cost_estimate_counts_monte_carlo_twirl(tmp_path):
     units = re.search(r"~(\S+) contraction units", cost_estimate(cfg)).group(1)
     assert float(units) == float(f"{(200 + 800 + 3200) * 2**8:.2e}")
     assert float(units) > 0
+
+
+def test_cost_estimate_counts_ring_sweeps_and_gram_blocks(tmp_path):
+    """A ring sweep carries the chi^2 boundary axis, so the pbc estimate
+    is chi^2 times the obc one; the memory of a pairwise plan counts its
+    Gram block arrays on top of the samples."""
+    units, mb = {}, {}
+    for boundary in ("obc", "pbc"):
+        cfg = load_config(write_cfg(tmp_path, "purity-scaling", {"params": {
+            "n": 8, "chi": 4, "r_values": [200], "boundary": boundary}}))
+        found = re.search(r"~(\S+) contraction units .* ~(\S+) MB", cost_estimate(cfg))
+        units[boundary], mb[boundary] = float(found.group(1)), float(found.group(2))
+    obc = (200 + 200 * 199 // 2) * 8 * 2 * 4**3
+    assert units["obc"] == float(f"{obc:.2e}")
+    assert units["pbc"] == float(f"{4**2 * obc:.2e}")
+    samples = 16 * 200 * 8 * 2 * 4**2 / 2**20
+    # the first obc block alone: 10 rows x 200 columns x D chi^2 elements
+    assert mb["obc"] >= samples + 4 * 16 * 10 * 200 * 2 * 4**2 / 2**20 - 0.01
+    assert mb["pbc"] > mb["obc"]

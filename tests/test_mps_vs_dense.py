@@ -66,6 +66,20 @@ def test_overlap_matches_dense():
         assert abs(overlap(a, b) - want) < 1e-10
 
 
+def test_ring_overlap_with_unequal_bond_dimensions_matches_dense():
+    """Rings of unequal bond dimensions, both orders: the sweep's boundary
+    pair is the identity on chi_a * chi_b bond pairs."""
+    from rmps.mps import overlap
+    for i, (chi_a, chi_b) in enumerate(itertools.permutations(range(1, 5), 2)):
+        n = 2 + i % 5
+        a = sample_rmps(n, 2, chi_a, subseed(127, 2 * i), homogeneous=bool(i % 2),
+                        boundary="pbc")
+        b = sample_rmps(n, 2, chi_b, subseed(127, 2 * i + 1), boundary="pbc")
+        want = np.vdot(a.to_dense().amplitudes, b.to_dense().amplitudes)
+        assert abs(overlap(a, b) - want) < 1e-10
+        assert abs(overlap(b, a) - want.conjugate()) < 1e-10
+
+
 def test_expectation_matches_dense():
     """Product observables on 1 to 3 contiguous sites, both boundaries."""
     for rng, m in random_cases(109, 30):
