@@ -165,17 +165,9 @@ def _plan_avg_state_convergence(cfg: RunConfig) -> Plan:
     p = cfg.params
     spec = EnsembleSpec(_source_from_params(p, int(p["n"]), int(p["chi"])),
                         cfg.r, cfg.seed)
-    d = ensembles.total_dim(spec.source)
-
-    def rows(spec):
-        target = np.eye(d, dtype=np.complex128) / d
-        acc = np.zeros((d, d), dtype=np.complex128)
-        for i in range(cfg.r):
-            psi = ensembles.draw_dense(spec, i).amplitudes
-            acc += np.outer(psi, psi.conj())
-            yield (i + 1, dense.trace_distance(acc / (i + 1), target))
-    return _table_plan("distance_vs_r", ("r_prefix", "trace_distance"), [spec], rows,
-                       dense_dim=d)
+    return _table_plan("distance_vs_r", ("r_prefix", "trace_distance"), [spec],
+                       lambda spec: enumerate(ensembles.average_state_convergence(spec), 1),
+                       dense_dim=ensembles.total_dim(spec.source))
 
 
 @_register("subsystem-convergence",
@@ -374,12 +366,11 @@ def _plan_q_stddev(cfg: RunConfig) -> Plan:
 
 
 def _qubit_split(p: dict) -> tuple[int, int, int]:
-    """(n, d_a, d_b) of the d_a-by-2^n/d_a split of an n-qubit chain."""
+    """(n, d_a, d_b) of an n-qubit chain cut after its leading block of dimension d_a."""
     n, d_a = int(p["n"]), int(p["d_a"])
     if d_a < 1:
         raise DimensionError(f"d_a must be positive, got {d_a}")
-    if d_a & (d_a - 1) or d_a > 2**n:
-        raise DimensionError(f"d_a must be a power of two no larger than 2^n, got {d_a}")
+    ensembles._split_length((2,) * n, d_a)  # raises unless d_a names a leading block
     return n, d_a, 2**n // d_a
 
 

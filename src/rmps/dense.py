@@ -250,14 +250,15 @@ def global_entanglement(state: DenseState) -> float:
         raise DimensionError(f"global entanglement requires qubit sites, got dims {state.dims}")
     if abs(state.norm() - 1.0) > 1e-10:
         raise ValueError("state must be normalized")
-    n = len(state.dims)
     psi = state.amplitudes.reshape(state.dims)
-    purity_sum = 0.0
-    for k in range(n):
-        t = np.moveaxis(psi, k, 0).reshape(2, -1)
-        rho = t @ t.conj().T
-        purity_sum += float(np.einsum("ij,ji->", rho, rho).real)
-    return 2.0 - (2.0 / n) * purity_sum
+    sites = (np.moveaxis(psi, k, 0).reshape(2, -1) for k in range(len(state.dims)))
+    return global_entanglement_from_sites(np.stack([t @ t.conj().T for t in sites]))
+
+
+def global_entanglement_from_sites(rhos: np.ndarray) -> float:
+    """Q = 2 - (2/N) sum_k Tr(rho_k^2) of the stack (N, 2, 2) of a
+    chain's one-site reduced states rho_k."""
+    return float(2.0 - 2.0 * np.einsum("kij,kji->k", rhos, rhos).real.mean())
 
 
 # ---------------------------------------------------------------------------

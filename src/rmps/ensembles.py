@@ -21,12 +21,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import dense
-from .dense import DENSITY_DIM_CAP, DenseState, DensityMatrix
+from .dense import DenseState, DensityMatrix
 from .errors import DimensionError
 from .haar import Seed, as_seed, subseed
 from .mps import LocalObservable, Mps, _Stack, sample_rmps
@@ -180,22 +180,42 @@ def _stddev_se(values: np.ndarray) -> float:
 # -- estimators -------------------------------------------------------------
 
 
-def empirical_average_state(spec: EnsembleSpec,
-                            cap: int = DENSITY_DIM_CAP) -> DensityMatrix:
-    """Mean projector (1/r) sum_i |psi_i><psi_i| over the ensemble."""
+def _dense_states(spec: EnsembleSpec) -> np.ndarray:
+    """The r samples' normalized amplitudes as the rows of an r x d array."""
+    states = np.empty((spec.r, total_dim(spec.source)), dtype=np.complex128)
+    for i in range(spec.r):
+        states[i] = draw_dense(spec, i).amplitudes
+    return states
+
+
+def _projector_sums(spec: EnsembleSpec) -> Iterator[np.ndarray]:
+    """Running sums of |psi_i><psi_i| in index order, one d x d array updated in place."""
     d = total_dim(spec.source)
-    dense.check_density_cap(d, cap)
+    dense.check_density_cap(d)
     acc = np.zeros((d, d), dtype=np.complex128)
     for i in range(spec.r):
         psi = draw_dense(spec, i).amplitudes
         acc += np.outer(psi, psi.conj())
-    acc /= spec.r
-    acc = (acc + acc.conj().T) / 2.0
-    return DensityMatrix(source_dims(spec.source), acc)
+        yield acc
 
 
-def average_state_distance(spec: EnsembleSpec, norm: str = "trace",
-                           cap: int = DENSITY_DIM_CAP) -> EnsembleReport:
+def empirical_average_state(spec: EnsembleSpec) -> DensityMatrix:
+    """Mean projector (1/r) sum_i |psi_i><psi_i| over the ensemble."""
+    for acc in _projector_sums(spec):
+        pass
+    avg = acc / spec.r
+    return DensityMatrix(source_dims(spec.source), (avg + avg.conj().T) / 2.0)
+
+
+def average_state_convergence(spec: EnsembleSpec) -> np.ndarray:
+    """Trace distances to I/d of the average state of the first k samples, k = 1 .. r."""
+    d = total_dim(spec.source)
+    target = np.eye(d, dtype=np.complex128) / d
+    return np.array([dense.trace_distance(acc / k, target)
+                     for k, acc in enumerate(_projector_sums(spec), 1)])
+
+
+def average_state_distance(spec: EnsembleSpec, norm: str = "trace") -> EnsembleReport:
     """Distance of the empirical average state from maximal mixedness.
 
     The statistic is a nonlinear function of the whole sample, so the
@@ -204,10 +224,8 @@ def average_state_distance(spec: EnsembleSpec, norm: str = "trace",
     metric = _metric(norm)
     t0 = time.perf_counter()
     d = total_dim(spec.source)
-    dense.check_density_cap(d, cap)
-    states = np.empty((spec.r, d), dtype=np.complex128)
-    for i in range(spec.r):
-        states[i] = draw_dense(spec, i).amplitudes
+    dense.check_density_cap(d)
+    states = _dense_states(spec)
     avg = states.T @ states.conj() / spec.r
     target = np.eye(d, dtype=np.complex128) / d
     value = metric(avg, target)
@@ -252,18 +270,15 @@ def subsystem_distance_stats(spec: EnsembleSpec, length: int, norm: str = "trace
     metric = _metric(norm)
     t0 = time.perf_counter()
     block_dim = math.prod(dims[:length])
+    rhos = (_reduced(spec, i, length) for i in range(spec.r))
     if reference == "exact":
         ref = np.eye(block_dim, dtype=np.complex128) / block_dim
     elif reference == "empirical":
-        acc = np.zeros((block_dim, block_dim), dtype=np.complex128)
-        for i in range(spec.r):
-            acc += _reduced(spec, i, length).matrix
-        ref = acc / spec.r
+        rhos = list(rhos)  # the reference needs every state before any distance
+        ref = sum(rho.matrix for rho in rhos) / spec.r
     else:
         raise ValueError(f"reference must be 'exact' or 'empirical', got {reference!r}")
-    dists = np.empty(spec.r)
-    for i in range(spec.r):
-        dists[i] = metric(_reduced(spec, i, length), ref)
+    dists = np.array([metric(rho, ref) for rho in rhos])
     return _mean_report(spec, f"subsystem_distance[{norm},{reference}]", dists, t0)
 
 
@@ -288,9 +303,7 @@ def purity_of_average_via_overlaps(spec: EnsembleSpec) -> EnsembleReport:
     r = spec.r
     src = spec.source
     if isinstance(src, CueSource):
-        states = np.empty((r, total_dim(src)), dtype=np.complex128)
-        for i in range(r):
-            states[i] = draw_dense(spec, i).amplitudes
+        states = _dense_states(spec)
         pair_elements = 1
 
         def gram(rows, cols):
@@ -364,7 +377,7 @@ def q_statistics(spec: EnsembleSpec, bins: int = 100
     for i in range(spec.r):
         if isinstance(spec.source, RmpsSource):
             rhos = draw_mps(spec, i).site_density_matrices()
-            qs[i] = 2.0 - 2.0 * np.einsum("kij,kji->k", rhos, rhos).real.mean()
+            qs[i] = dense.global_entanglement_from_sites(rhos)
         else:
             qs[i] = dense.global_entanglement(draw_dense(spec, i))
     # Q lies in [0, 1] exactly; clip the ~1e-16 roundoff excursions so

@@ -78,20 +78,23 @@ def ginibre(n: int, seed: Seed | int) -> np.ndarray:
 
 
 def haar_unitary(n: int, seed: Seed | int) -> np.ndarray:
-    """Haar-distributed n x n unitary matrix.
+    """Haar-distributed n x n unitary matrix: haar_isometry of a Ginibre matrix."""
+    return haar_isometry(ginibre(n, seed))
 
-    QR-decomposes a Ginibre matrix and multiplies each column of Q by
-    the phase of the matching diagonal entry of R.  The phase fix makes
-    the decomposition unique (R diagonal real positive); without it the
-    output is visibly not Haar, e.g. its eigenvalue angles bunch up
-    instead of being uniform.
-    """
-    z = ginibre(n, seed)
+
+def haar_isometry(z: np.ndarray) -> np.ndarray:
+    """Haar-distributed orthonormal columns from Ginibre columns ``z``
+    (one matrix or a stack): Q of their QR decomposition, each column
+    times the phase of R's matching diagonal entry, checked as
+    max |Q^dag Q - 1| <= 1e-12.  The phase fix makes R's diagonal real
+    positive; without it a unitary's eigenvalue angles bunch up."""
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    u = q * (diag / np.abs(diag))[np.newaxis, :]
-    require_unitary(u)
-    return u
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (diag / np.abs(diag))[..., np.newaxis, :]
+    defect = np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(q.shape[-1])).max()
+    if not defect <= 1e-12:  # also catches the NaN phases of a singular draw
+        raise ValueError(f"columns are not isometric: defect {defect:.3e} exceeds 1e-12")
+    return q
 
 
 def haar_state(n: int, seed: Seed | int) -> np.ndarray:
@@ -117,5 +120,5 @@ def require_unitary(u: np.ndarray, tol: float = 1e-12) -> None:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {u.shape}")
     defect = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if defect > tol:
+    if not defect <= tol:  # NaN entries give a NaN defect
         raise ValueError(f"matrix is not unitary: defect {defect:.3e} exceeds {tol:.1e}")

@@ -42,7 +42,7 @@ import numpy as np
 from .dense import DENSE_AMPLITUDE_CAP, DENSITY_DIM_CAP, DenseState, DensityMatrix, \
     check_amplitude_cap, check_density_cap
 from .errors import DimensionError
-from .haar import Seed, as_seed, ginibre, haar_state, require_unitary, subseed
+from .haar import Seed, as_seed, ginibre, haar_isometry, haar_state, require_unitary, subseed
 
 BOUNDARIES = ("obc", "pbc")
 
@@ -277,22 +277,14 @@ def _site_tensors(n_sets: int, phys_dim: int, bond_dim: int, seed: Seed) -> np.n
     random stream is that of haar_unitary, and keeps its first chi
     columns.  Householder QR of those columns gives exactly the first
     chi columns of the full Q and the leading chi x chi block of R, so
-    one thin QR over the stack, with haar_unitary's phase fix, yields
-    bitwise the tensors a_matrices_from_unitary cuts out of the full
-    unitaries.  The stack is checked for isometry once, as
-    max |Q^dag Q - 1| <= 1e-12, the tolerance of require_unitary.
+    one haar_isometry call on the stack yields bitwise the tensors
+    a_matrices_from_unitary cuts out of the full unitaries.
     """
     d, chi = int(phys_dim), int(bond_dim)
     if d < 1 or chi < 1:
         raise DimensionError(f"dimensions must be positive, got D={d}, chi={chi}")
     z = np.stack([ginibre(d * chi, subseed(seed, k))[:, :chi] for k in range(n_sets)])
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (diag / np.abs(diag))[:, np.newaxis, :]
-    defect = np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(chi)).max()
-    if not defect <= 1e-12:  # also catches the NaN phases of a singular draw
-        raise ValueError(f"site tensors are not isometric: defect {defect:.3e} exceeds 1e-12")
-    return q.reshape(n_sets, d, chi, chi)
+    return haar_isometry(z).reshape(n_sets, d, chi, chi)
 
 
 def overlap(a: Mps, b: Mps) -> complex:

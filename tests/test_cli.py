@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from rmps import dense, ensembles
-from rmps.cli import REGISTRY, cost_estimate, load_config, main, validate_config
+from rmps.cli import PAULI, REGISTRY, cost_estimate, load_config, main, validate_config
+from rmps.mps import LocalObservable
 
 # Small parameter sets that exercise every registered experiment quickly.
 TINY = {
@@ -140,6 +141,24 @@ def test_avg_state_convergence_table(tmp_path):
     assert len(lines) == 501
     dist = np.array([float(l.split(",")[1]) for l in lines[1:]])
     assert dist[-50:].mean() < dist[:50].mean()
+
+
+def test_concentration_scan_table_follows_library_seed_map(tmp_path):
+    """The concentration-scan plan seeds each chain length as
+    ensembles.concentration_scan does, so its TINY table equals that
+    function's reports cell for cell."""
+    body = TINY["concentration-scan"]
+    cfg = write_cfg(tmp_path, "concentration-scan", dict(body, seed=5))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out_dir)]) == 0
+    rows = [[_cell(c) for c in line.split(",")]
+            for line in (out_dir / "concentration.csv").read_text().splitlines()[1:]]
+    params = body["params"]
+    reports = ensembles.concentration_scan(LocalObservable((PAULI["z"],), 0), lambda n: 2,
+                                           params["ns"], body["r"], 5)
+    assert len(rows) == len(reports) == len(params["ns"])
+    for row, n, rep in zip(rows, params["ns"], reports):
+        assert row == [n, 2, rep.value, rep.stderr, float(rep.per_sample.mean())]
 
 
 def test_q_histogram_counts_conserved(tmp_path):
@@ -341,6 +360,8 @@ PREFLIGHT = [
     ("q-histogram", {"boundary": "open"}, 2, 2, "boundary must be"),
     ("q-histogram", {"source": "haar"}, 2, 2, "source must be 'rmps' or 'cue'"),
     ("q-vs-chi", {"chis": 4}, 2, 2, "wrong type"),
+    ("moments-vs-chi", {"n": 4, "d_a": 1}, 2, 2, "leading-block"),
+    ("min-eig-vs-chi", {"n": 4, "d_a": 1}, 2, 2, "leading-block"),
 ]
 
 

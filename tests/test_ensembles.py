@@ -170,6 +170,43 @@ def test_subsystem_distance_references_and_errors():
         subsystem_distance_stats(spec, 1, reference="average")
 
 
+def test_empirical_subsystem_reference_draws_each_sample_once(monkeypatch):
+    """The empirical reference comes from the same pass as the distances:
+    r draws, not 2r, and bitwise the two-pass value (reference summed in
+    index order, then every state redrawn against it)."""
+    spec = EnsembleSpec(RmpsSource(5, 2, 3), 9, Seed(21))
+    ref = np.zeros((4, 4), dtype=np.complex128)
+    for i in range(spec.r):
+        ref += ensembles._reduced(spec, i, 2).matrix
+    ref = ref / spec.r
+    want = np.array([trace_distance(ensembles._reduced(spec, i, 2), ref)
+                     for i in range(spec.r)])
+    calls = []
+
+    def counting_draw(s, i):
+        calls.append(i)
+        return draw_mps(s, i)
+
+    monkeypatch.setattr(ensembles, "draw_mps", counting_draw)
+    rep = subsystem_distance_stats(spec, 2, "trace", "empirical")
+    assert calls == list(range(spec.r))
+    assert np.array_equal(rep.per_sample, want)
+    assert rep.value == float(want.mean())
+
+
+def test_average_state_convergence_prefixes_nest():
+    """Entry k - 1 of the running distances is the distance to I/d of
+    the average state of the first k samples, an ensemble of size k on
+    the same seed."""
+    for source in (RmpsSource(3, 2, 2), CueSource((2, 2, 2))):
+        spec = EnsembleSpec(source, 6, Seed(8))
+        dists = ensembles.average_state_convergence(spec)
+        assert dists.shape == (spec.r,)
+        for k in range(1, spec.r + 1):
+            avg = empirical_average_state(EnsembleSpec(source, k, Seed(8)))
+            assert abs(dists[k - 1] - trace_distance(avg, np.eye(8) / 8)) < 1e-12
+
+
 def test_subsystem_distance_saturates_with_bath():
     """At fixed bond dimension the one-site distance stops changing as the
     chain grows: monotone non-increase within 2 sigma across three sizes."""

@@ -163,3 +163,9 @@ def test_require_unitary():
         require_unitary(np.eye(3) * 1.5)
     with pytest.raises(DimensionError):
         require_unitary(np.ones((2, 3)))
+
+
+def test_nan_matrix_is_not_unitary():
+    """A NaN defect fails the check: NaN compares false with any tolerance."""
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
+        require_unitary(np.full((4, 4), np.nan))

@@ -66,6 +66,11 @@ def test_a_matrices_errors():
         a_matrices_from_unitary(np.eye(4), 0, 4)
 
 
+def test_a_matrices_reject_nan_unitary():
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
+        a_matrices_from_unitary(np.full((4, 4), np.nan), 2, 2)
+
+
 def test_mps_constructor_validation():
     a = a_matrices_from_unitary(haar_unitary(4, 0), 2, 2)
     e0 = np.array([1.0, 0.0])
