@@ -116,14 +116,21 @@ def _register(name, summary, defaults, default_r=500):
     return add
 
 
-def _source_from_params(p: dict, n: int, chi: int) -> RmpsSource | CueSource:
+def _source_from_params(p: dict, n: int, chi: int,
+                        mixed_reference: str | None = None) -> RmpsSource | CueSource:
+    """The source the params name.  A plan that compares against the
+    maximally mixed state on two or more sites names that reference in
+    ``mixed_reference``: only non-homogeneous chains average to it."""
     kind = p.get("source", "rmps")
     if kind == "cue":
         return CueSource((2,) * n)
     if kind != "rmps":
         raise ConfigError(f"source must be 'rmps' or 'cue', got {kind!r}")
-    return RmpsSource(n, 2, chi, bool(p.get("homogeneous", False)),
-                      p.get("boundary", "obc"))
+    homogeneous = bool(p.get("homogeneous", False))
+    if homogeneous and mixed_reference:
+        raise ConfigError(f"homogeneous chains do not average to the maximally mixed "
+                          f"state: the reference {mixed_reference} needs homogeneous: false")
+    return RmpsSource(n, 2, chi, homogeneous, p.get("boundary", "obc"))
 
 
 def _axis(p: dict, key: str) -> list:
@@ -163,7 +170,7 @@ def _plan_avg_state_convergence(cfg: RunConfig) -> Plan:
     """Trace distance of the running average state to maximal mixedness,
     one row per sample-count prefix."""
     p = cfg.params
-    spec = EnsembleSpec(_source_from_params(p, int(p["n"]), int(p["chi"])),
+    spec = EnsembleSpec(_source_from_params(p, int(p["n"]), int(p["chi"]), "I/d"),
                         cfg.r, cfg.seed)
     return _table_plan("distance_vs_r", ("r_prefix", "trace_distance"), [spec],
                        lambda spec: enumerate(ensembles.average_state_convergence(spec), 1),
@@ -179,7 +186,8 @@ def _plan_subsystem_convergence(cfg: RunConfig) -> Plan:
     the block grows, with the typicality bound alongside."""
     p = cfg.params
     n, max_length = int(p["n"]), int(p["max_length"])
-    src = _source_from_params(p, n, int(p["chi"]))
+    # one-site blocks of homogeneous chains do average to I/2
+    src = _source_from_params(p, n, int(p["chi"]), "I/d" if max_length >= 2 else None)
     if max_length < 1:
         raise ConfigError(f"max_length must be at least 1, got {max_length}")
     if max_length > n:
@@ -275,7 +283,7 @@ def _plan_purity_scaling(cfg: RunConfig) -> Plan:
     """Purity of the average state versus sample count, split into the
     1/r term and the overlap cross term."""
     p = cfg.params
-    src = _source_from_params(p, int(p["n"]), int(p["chi"]))
+    src = _source_from_params(p, int(p["n"]), int(p["chi"]), "1/d")
     d = ensembles.total_dim(src)
     specs = [EnsembleSpec(src, int(r), cfg.seed) for r in _axis(p, "r_values")]  # ensembles nest
 
@@ -303,7 +311,8 @@ def _plan_purity_error(cfg: RunConfig) -> Plan:
         rep = ensembles.purity_of_average_via_overlaps(spec)
         return [(n, chi, ensembles.purity_relative_error(spec, rep), rep.stderr * 2**n)]
     return _table_plan("purity_relative_error", ("n", "chi", "relative_error", "stderr"),
-                       _grid(cfg, [_source_from_params(p, int(n), chi) for n in _axis(p, "ns")]),
+                       _grid(cfg, [_source_from_params(p, int(n), chi, "1/d")
+                                   for n in _axis(p, "ns")]),
                        rows, pairwise=True)
 
 
@@ -446,6 +455,8 @@ def _plan_concentration_scan(cfg: RunConfig) -> Plan:
     obs = LocalObservable((op,), int(p["site"]))
     rule = _parse_chi_rule(p["chi_rule"])
     ns = [int(n) for n in _axis(p, "ns")]
+    if cfg.r < 2:
+        raise ConfigError(f"a standard deviation needs r >= 2, got {cfg.r}")
     short = [n for n in ns if n < obs.start_site + obs.n_sites]
     if short:
         raise DimensionError(f"observable on site {obs.start_site} does not fit "

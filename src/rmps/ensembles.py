@@ -13,7 +13,9 @@ plain per-sample average, the per-sample values.  Uncertainties are
 sample-stddev / sqrt(r) for per-sample averages, leave-one-out
 jackknife for statistics that are nonlinear functions of the whole
 sample (state-average distances, the pairwise purity estimator), and
-the fourth-moment delta formula for reported standard deviations.
+the fourth-moment delta formula for reported standard deviations.  The
+average-state jackknife solves all r leave-one-out spectra in the
+eigenbasis of one matrix, each as a real diagonal-minus-rank-one matrix.
 """
 
 from __future__ import annotations
@@ -219,24 +221,32 @@ def average_state_distance(spec: EnsembleSpec, norm: str = "trace") -> EnsembleR
     """Distance of the empirical average state from maximal mixedness.
 
     The statistic is a nonlinear function of the whole sample, so the
-    uncertainty is a leave-one-out jackknife over the r states.
+    uncertainty is a leave-one-out jackknife over the r states.  Leaving
+    sample i out gives B - psi_i psi_i^dag / (r - 1), with
+    B = r/(r - 1) avg - I/d.  One eigensolve of avg gives B's eigenvalues
+    lam and eigenvectors V.  In that basis, with the phases of
+    V^dag psi_i absorbed into it, the leave-one-out difference is
+    the real symmetric diag(lam) - a a^T / (r - 1), a = |V^dag psi_i|,
+    which has the same spectrum and so the same trace and HS norms.
     """
     metric = _metric(norm)
     t0 = time.perf_counter()
-    d = total_dim(spec.source)
+    r, d = spec.r, total_dim(spec.source)
     dense.check_density_cap(d)
     states = _dense_states(spec)
-    avg = states.T @ states.conj() / spec.r
+    avg = states.T @ states.conj() / r
     target = np.eye(d, dtype=np.complex128) / d
     value = metric(avg, target)
-    if spec.r > 1:
-        loo = np.empty(spec.r)
-        for i in range(spec.r):
-            rho_i = np.outer(states[i], states[i].conj())
-            loo[i] = metric((spec.r * avg - rho_i) / (spec.r - 1), target)
+    se = 0.0
+    if r > 1:
+        lam, v = np.linalg.eigh(avg)
+        diag = np.diag(r / (r - 1) * lam - 1.0 / d)
+        loo = np.empty(r)
+        for i in range(r):
+            a = np.abs(states[i] @ v.conj())
+            loo[i] = _norm_of_spectrum(np.linalg.eigvalsh(diag - np.outer(a, a) / (r - 1)),
+                                       norm)
         se = _jackknife_se(loo)
-    else:
-        se = 0.0
     return EnsembleReport(spec, f"average_state_distance[{norm}]",
                           float(value), se, None, time.perf_counter() - t0)
 
@@ -247,6 +257,11 @@ def _metric(norm: str) -> Callable[[np.ndarray, np.ndarray], float]:
     if norm == "hs":
         return dense.hs_distance
     raise ValueError(f"norm must be 'trace' or 'hs', got {norm!r}")
+
+
+def _norm_of_spectrum(mu: np.ndarray, norm: str) -> float:
+    """The trace or Hilbert-Schmidt norm of a Hermitian matrix with eigenvalues mu."""
+    return float(np.abs(mu).sum()) if norm == "trace" else float(np.sqrt(np.sum(mu * mu)))
 
 
 def _reduced(spec: EnsembleSpec, index: int, length: int) -> DensityMatrix:
@@ -272,13 +287,14 @@ def subsystem_distance_stats(spec: EnsembleSpec, length: int, norm: str = "trace
     block_dim = math.prod(dims[:length])
     rhos = (_reduced(spec, i, length) for i in range(spec.r))
     if reference == "exact":
-        ref = np.eye(block_dim, dtype=np.complex128) / block_dim
+        # I/d commutes with rho, so the validation spectrum gives the distance
+        dists = [_norm_of_spectrum(rho.spectrum - 1.0 / block_dim, norm) for rho in rhos]
     elif reference == "empirical":
         rhos = list(rhos)  # the reference needs every state before any distance
         ref = sum(rho.matrix for rho in rhos) / spec.r
+        dists = [metric(rho, ref) for rho in rhos]
     else:
         raise ValueError(f"reference must be 'exact' or 'empirical', got {reference!r}")
-    dists = np.array([metric(rho, ref) for rho in rhos])
     return _mean_report(spec, f"subsystem_distance[{norm},{reference}]", dists, t0)
 
 
@@ -476,6 +492,8 @@ def concentration(spec: EnsembleSpec, observable: LocalObservable) -> EnsembleRe
     src = spec.source
     if observable.start_site + observable.n_sites > src.n_sites:
         raise DimensionError(f"observable does not fit in a chain of {src.n_sites} sites")
+    if spec.r < 2:
+        raise ValueError("a standard deviation needs at least two samples")
     t0 = time.perf_counter()
     vals = np.empty(spec.r)
     for i in range(spec.r):

@@ -362,6 +362,16 @@ PREFLIGHT = [
     ("q-vs-chi", {"chis": 4}, 2, 2, "wrong type"),
     ("moments-vs-chi", {"n": 4, "d_a": 1}, 2, 2, "leading-block"),
     ("min-eig-vs-chi", {"n": 4, "d_a": 1}, 2, 2, "leading-block"),
+    ("concentration-scan", {"r": 1}, 2, 2, "r >= 2"),
+    # homogeneous chains do not average to I/d, so the plans that compare
+    # against I/d or 1/d on two or more sites reject them; a one-site
+    # block and the plans with no mixed reference accept them
+    ("avg-state-convergence", {"homogeneous": True}, 2, 2, "reference I/d"),
+    ("subsystem-convergence", {"homogeneous": True, "max_length": 2}, 2, 2, "reference I/d"),
+    ("purity-scaling", {"homogeneous": True}, 2, 2, "reference 1/d"),
+    ("purity-error", {"homogeneous": True}, 2, 2, "reference 1/d"),
+    ("subsystem-convergence", {"homogeneous": True, "max_length": 1}, 0, 0, None),
+    ("q-histogram", {"homogeneous": True}, 0, 0, None),
 ]
 
 

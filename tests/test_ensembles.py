@@ -149,6 +149,62 @@ def test_average_state_distance_norms():
         average_state_distance(spec, "operator")
 
 
+def _loop_average_state_distance(spec, norm):
+    """The jackknife as a loop of full eigensolves: every leave-one-out
+    average state against I/d through the dense distance functions."""
+    metric = ensembles._metric(norm)
+    r, d = spec.r, total_dim(spec.source)
+    states = np.array([draw_dense(spec, i).amplitudes for i in range(r)])
+    avg = states.T @ states.conj() / r
+    target = np.eye(d, dtype=np.complex128) / d
+    loo = [metric((r * avg - np.outer(psi, psi.conj())) / (r - 1), target) for psi in states]
+    return metric(avg, target), ensembles._jackknife_se(np.array(loo))
+
+
+@pytest.mark.parametrize("norm", ["trace", "hs"])
+@pytest.mark.parametrize("n,r", [(4, 40), (7, 50), (4, 2)])
+@pytest.mark.parametrize("kind", ["obc", "pbc", "cue"])
+def test_average_state_jackknife_matches_full_eigensolves(kind, n, r, norm):
+    """The leave-one-out spectra solved in the average state's eigenbasis
+    give the loop's stderr within 1e-12 relative, for r > d, r < d and
+    r = 2, and the value is bitwise the loop's.  At r = 2 each
+    leave-one-out average is one pure state, all at the same distance,
+    so the exact stderr is 0 and both sides are roundoff."""
+    source = CueSource((2,) * n) if kind == "cue" else RmpsSource(n, 2, 3, boundary=kind)
+    spec = EnsembleSpec(source, r, Seed(41))
+    rep = average_state_distance(spec, norm)
+    value, se = _loop_average_state_distance(spec, norm)
+    assert rep.value == value
+    if r == 2:
+        assert rep.stderr < 1e-14 and se < 1e-14
+    else:
+        assert abs(rep.stderr - se) <= 1e-12 * se
+
+
+def test_average_state_distance_solves_one_dense_distance(monkeypatch):
+    """dense.trace_distance runs once per call, for the value; the r
+    leave-one-out distances come from the real eigensolves."""
+    calls = []
+    real = dense.trace_distance
+    monkeypatch.setattr(dense, "trace_distance", lambda a, b: calls.append(1) or real(a, b))
+    average_state_distance(EnsembleSpec(RmpsSource(5, 2, 2), 30, Seed(5)), "trace")
+    assert len(calls) == 1
+
+
+def test_exact_subsystem_distance_reuses_the_validation_spectrum(monkeypatch):
+    """Against I/d each block state is eigensolved once, by its
+    validation, and the distances are those of dense.trace_distance."""
+    spec = EnsembleSpec(RmpsSource(6, 2, 4), 50, Seed(17))
+    want = [trace_distance(ensembles._reduced(spec, i, 2), np.eye(4) / 4)
+            for i in range(spec.r)]
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+    rep = subsystem_distance_stats(spec, 2, "trace", "exact")
+    assert len(calls) == spec.r
+    assert np.allclose(rep.per_sample, want, rtol=0.0, atol=1e-12)
+
+
 def test_subsystem_distance_of_pure_samples():
     """Bond dimension 1 gives product states: every one-site reduction is
     pure, at trace distance exactly 1 from the maximally mixed state."""
@@ -527,6 +583,13 @@ def test_concentration_identity_observable():
     reports = concentration_scan(obs, lambda n: 2, [3, 5], 30, Seed(0))
     for rep in reports:
         assert rep.value < 1e-12
+
+
+def test_concentration_needs_two_samples():
+    """A standard deviation of one sample is undefined: ValueError, not NaN."""
+    spec = EnsembleSpec(RmpsSource(4, 2, 2), 1, Seed(0))
+    with pytest.raises(ValueError):
+        ensembles.concentration(spec, LocalObservable((SZ,), 0))
 
 
 def test_concentration_scan_structure():
