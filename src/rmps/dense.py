@@ -7,7 +7,7 @@ the exact ensemble references (moments of reduced Haar-random states,
 typicality bounds, twirl expressions) that the experiments compare to.
 
 Size caps guard against accidentally allocating astronomically large
-objects; they can be loosened per call.
+objects; each is a fixed module constant, checked before allocation.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CapExceededError, DimensionError
 from .haar import Seed, haar_state, haar_unitary, subseed
 
-# Default ceilings: 2^20 amplitudes for a dense pure state and 2^10 for
+# Ceilings: 2^20 amplitudes for a dense pure state and 2^10 for
 # the linear dimension of anything stored as a full matrix.
 DENSE_AMPLITUDE_CAP = 2**20
 DENSITY_DIM_CAP = 2**10
@@ -35,14 +35,16 @@ DENSITY_DIM_CAP = 2**10
 CUE_MIN_EIG_DIM_CAP = 2**8
 
 
-def check_amplitude_cap(total_dim: int, cap: int = DENSE_AMPLITUDE_CAP) -> None:
-    if total_dim > cap:
-        raise CapExceededError(f"dense state of dimension {total_dim} exceeds cap {cap}")
+def check_amplitude_cap(total_dim: int) -> None:
+    if total_dim > DENSE_AMPLITUDE_CAP:
+        raise CapExceededError(f"dense state of dimension {total_dim} exceeds cap "
+                               f"{DENSE_AMPLITUDE_CAP}")
 
 
-def check_density_cap(dim: int, cap: int = DENSITY_DIM_CAP) -> None:
-    if dim > cap:
-        raise CapExceededError(f"density matrix of dimension {dim} exceeds cap {cap}")
+def check_density_cap(dim: int) -> None:
+    if dim > DENSITY_DIM_CAP:
+        raise CapExceededError(f"density matrix of dimension {dim} exceeds cap "
+                               f"{DENSITY_DIM_CAP}")
 
 
 def check_min_eig_cap(d_a: int, d_b: int) -> None:
@@ -137,12 +139,11 @@ def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(dims, np.eye(d, dtype=np.complex128) / d)
 
 
-def haar_dense_state(dims: Sequence[int], seed: Seed | int,
-                     cap: int = DENSE_AMPLITUDE_CAP) -> DenseState:
+def haar_dense_state(dims: Sequence[int], seed: Seed | int) -> DenseState:
     """Haar-random pure state on a chain with the given site dims."""
     dims = _validated_dims(dims)
     d = math.prod(dims)
-    check_amplitude_cap(d, cap)
+    check_amplitude_cap(d)
     return DenseState(dims, haar_state(d, seed))
 
 
@@ -164,8 +165,7 @@ def _as_matrix(rho: DensityMatrix | np.ndarray) -> np.ndarray:
     return m
 
 
-def partial_trace(obj: DenseState | DensityMatrix, keep: Sequence[int],
-                  cap: int = DENSITY_DIM_CAP) -> DensityMatrix:
+def partial_trace(obj: DenseState | DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Reduced density matrix on the ``keep`` sites (ascending order).
 
     Accepts either a pure state or a density matrix.  Pure states are
@@ -180,7 +180,7 @@ def partial_trace(obj: DenseState | DensityMatrix, keep: Sequence[int],
         raise DimensionError(f"keep sites {keep} out of range for {n} sites")
     traced = tuple(i for i in range(n) if i not in keep)
     kept_dim = math.prod(dims[i] for i in keep)
-    check_density_cap(kept_dim, cap)
+    check_density_cap(kept_dim)
 
     if isinstance(obj, DenseState):
         psi = obj.normalized().amplitudes.reshape(dims)
@@ -398,8 +398,7 @@ def typicality_bound(d_s: int, d_b: int) -> float:
 # kron(U, U.conj()) tensored n_copies times.
 
 
-def haar_twirl_monte_carlo(n_copies: int, dim: int, r: int, seed: Seed | int,
-                           cap: int = DENSITY_DIM_CAP) -> np.ndarray:
+def haar_twirl_monte_carlo(n_copies: int, dim: int, r: int, seed: Seed | int) -> np.ndarray:
     """Monte Carlo estimate of the mean of (U (x) U*)^{(x) n_copies}.
 
     Averages r independent Haar unitaries, sample i drawn from
@@ -410,7 +409,7 @@ def haar_twirl_monte_carlo(n_copies: int, dim: int, r: int, seed: Seed | int,
     if r < 1:
         raise ValueError(f"sample count must be positive, got {r}")
     op_dim = dim ** (2 * n_copies)
-    check_density_cap(op_dim, cap)
+    check_density_cap(op_dim)
     acc = np.zeros((op_dim, op_dim), dtype=np.complex128)
     for i in range(r):
         u = haar_unitary(dim, subseed(seed, i))
@@ -422,8 +421,7 @@ def haar_twirl_monte_carlo(n_copies: int, dim: int, r: int, seed: Seed | int,
     return acc / r
 
 
-def permutation_twirl(n_copies: int, dim: int,
-                      cap: int = DENSITY_DIM_CAP) -> np.ndarray:
+def permutation_twirl(n_copies: int, dim: int) -> np.ndarray:
     """Sum of projectors onto unit-normalized vectorized permutations.
 
     For each permutation sigma of the n_copies tensor factors, the
@@ -440,7 +438,7 @@ def permutation_twirl(n_copies: int, dim: int,
     if n_copies < 1:
         raise DimensionError(f"n_copies must be positive, got {n_copies}")
     op_dim = dim ** (2 * n_copies)
-    check_density_cap(op_dim, cap)
+    check_density_cap(op_dim)
     n = n_copies
     ident = np.eye(dim**n, dtype=np.complex128).reshape((dim,) * (2 * n))
     # grouped (a_1..a_n, b_1..b_n) -> interleaved (a_1, b_1, ..., a_n, b_n)

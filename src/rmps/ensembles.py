@@ -21,8 +21,7 @@ eigenbasis of one matrix, each as a real diagonal-minus-rank-one matrix.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -100,7 +99,6 @@ class EnsembleReport:
     value: float
     stderr: float
     per_sample: np.ndarray | None = None
-    wall_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -150,11 +148,10 @@ def draw_dense(spec: EnsembleSpec, index: int) -> DenseState:
 # -- uncertainty helpers ----------------------------------------------------
 
 
-def _mean_report(spec, name, values, t0) -> EnsembleReport:
+def _mean_report(spec, name, values) -> EnsembleReport:
     values = np.asarray(values, dtype=float)
     se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-    return EnsembleReport(spec, name, float(values.mean()), se, values,
-                          time.perf_counter() - t0)
+    return EnsembleReport(spec, name, float(values.mean()), se, values)
 
 
 def _jackknife_se(values: np.ndarray) -> float:
@@ -230,7 +227,6 @@ def average_state_distance(spec: EnsembleSpec, norm: str = "trace") -> EnsembleR
     which has the same spectrum and so the same trace and HS norms.
     """
     metric = _metric(norm)
-    t0 = time.perf_counter()
     r, d = spec.r, total_dim(spec.source)
     dense.check_density_cap(d)
     states = _dense_states(spec)
@@ -247,8 +243,7 @@ def average_state_distance(spec: EnsembleSpec, norm: str = "trace") -> EnsembleR
             loo[i] = _norm_of_spectrum(np.linalg.eigvalsh(diag - np.outer(a, a) / (r - 1)),
                                        norm)
         se = _jackknife_se(loo)
-    return EnsembleReport(spec, f"average_state_distance[{norm}]",
-                          float(value), se, None, time.perf_counter() - t0)
+    return EnsembleReport(spec, f"average_state_distance[{norm}]", float(value), se)
 
 
 def _metric(norm: str) -> Callable[[np.ndarray, np.ndarray], float]:
@@ -283,7 +278,6 @@ def subsystem_distance_stats(spec: EnsembleSpec, length: int, norm: str = "trace
     if not 1 <= length <= len(dims):
         raise DimensionError(f"block length {length} outside [1, {len(dims)}]")
     metric = _metric(norm)
-    t0 = time.perf_counter()
     block_dim = math.prod(dims[:length])
     rhos = (_reduced(spec, i, length) for i in range(spec.r))
     if reference == "exact":
@@ -295,7 +289,7 @@ def subsystem_distance_stats(spec: EnsembleSpec, length: int, norm: str = "trace
         dists = [metric(rho, ref) for rho in rhos]
     else:
         raise ValueError(f"reference must be 'exact' or 'empirical', got {reference!r}")
-    return _mean_report(spec, f"subsystem_distance[{norm},{reference}]", dists, t0)
+    return _mean_report(spec, f"subsystem_distance[{norm},{reference}]", dists)
 
 
 def purity_of_average_via_overlaps(spec: EnsembleSpec) -> EnsembleReport:
@@ -315,7 +309,6 @@ def purity_of_average_via_overlaps(spec: EnsembleSpec) -> EnsembleReport:
     first, so the norms n_i come from their diagonals.  The uncertainty
     is a leave-one-state-out jackknife.
     """
-    t0 = time.perf_counter()
     r = spec.r
     src = spec.source
     if isinstance(src, CueSource):
@@ -340,8 +333,7 @@ def purity_of_average_via_overlaps(spec: EnsembleSpec) -> EnsembleReport:
         se = _jackknife_se(loo)
     else:
         se = 0.0
-    return EnsembleReport(spec, "purity_of_average_cross_term", cross, se, None,
-                          time.perf_counter() - t0)
+    return EnsembleReport(spec, "purity_of_average_cross_term", cross, se)
 
 
 # Element budget of one Gram block's largest array, 1 MiB of complex
@@ -388,7 +380,8 @@ def q_statistics(spec: EnsembleSpec, bins: int = 100
         raise DimensionError(f"Q is defined for qubit chains, got site dims {dims}")
     if spec.r < 2:
         raise ValueError("Q statistics need at least two samples")
-    t0 = time.perf_counter()
+    if bins < 1:
+        raise ValueError(f"bin count must be positive, got {bins}")
     qs = np.empty(spec.r)
     for i in range(spec.r):
         if isinstance(spec.source, RmpsSource):
@@ -400,10 +393,8 @@ def q_statistics(spec: EnsembleSpec, bins: int = 100
     # every sample lands in a bin and the histogram total stays r.
     counts, edges = np.histogram(np.clip(qs, 0.0, 1.0), bins=bins, range=(0.0, 1.0))
     hist = Histogram(edges, counts, int(counts.sum()))
-    wall = time.perf_counter() - t0
-    mean_rep = _mean_report(spec, "q_mean", qs, t0)
-    std_rep = EnsembleReport(spec, "q_stddev", float(qs.std(ddof=1)),
-                             _stddev_se(qs), qs, wall)
+    mean_rep = _mean_report(spec, "q_mean", qs)
+    std_rep = EnsembleReport(spec, "q_stddev", float(qs.std(ddof=1)), _stddev_se(qs), qs)
     return hist, mean_rep, std_rep
 
 
@@ -447,7 +438,6 @@ def moment_comparisons(spec: EnsembleSpec, d_a: int,
     d_b = total_dim(spec.source) // d_a
     ms = [int(m) for m in ms]
     exact = [dense.cue_purity_moment(m, d_a, d_b) for m in ms]
-    t0 = time.perf_counter()
     vals = np.empty((len(ms), spec.r))
     for i in range(spec.r):
         lam = _reduced(spec, i, length).spectrum
@@ -455,7 +445,7 @@ def moment_comparisons(spec: EnsembleSpec, d_a: int,
             vals[j, i] = float(np.sum(lam**m))
     reports = []
     for m, ref, v in zip(ms, exact, vals):
-        rep = _mean_report(spec, f"moment_deviation[m={m},d_a={d_a}]", v, t0)
+        rep = _mean_report(spec, f"moment_deviation[m={m},d_a={d_a}]", v)
         rep.value = abs(rep.value - ref)
         reports.append(rep)
     return reports
@@ -476,11 +466,10 @@ def min_eig_comparison(spec: EnsembleSpec, d_a: int,
     length = _split_length(dims, d_a)
     if exact is None:
         exact = dense.cue_min_eigenvalue(d_a, total_dim(spec.source) // d_a)
-    t0 = time.perf_counter()
     vals = np.empty(spec.r)
     for i in range(spec.r):
         vals[i] = dense.min_eigenvalue(_reduced(spec, i, length))
-    rep = _mean_report(spec, f"min_eig_deviation[d_a={d_a}]", vals, t0)
+    rep = _mean_report(spec, f"min_eig_deviation[d_a={d_a}]", vals)
     rep.value = abs(rep.value - exact)
     return rep
 
@@ -490,17 +479,17 @@ def concentration(spec: EnsembleSpec, observable: LocalObservable) -> EnsembleRe
     state ensemble, with a delta-method stderr and the per-sample values
     attached."""
     src = spec.source
+    if not isinstance(src, RmpsSource):
+        raise TypeError("concentration needs a matrix product state source")
     if observable.start_site + observable.n_sites > src.n_sites:
         raise DimensionError(f"observable does not fit in a chain of {src.n_sites} sites")
     if spec.r < 2:
         raise ValueError("a standard deviation needs at least two samples")
-    t0 = time.perf_counter()
     vals = np.empty(spec.r)
     for i in range(spec.r):
         vals[i] = draw_mps(spec, i).expectation(observable)
     return EnsembleReport(spec, f"concentration[n={src.n_sites},chi={src.bond_dim}]",
-                          float(vals.std(ddof=1)), _stddev_se(vals), vals,
-                          time.perf_counter() - t0)
+                          float(vals.std(ddof=1)), _stddev_se(vals), vals)
 
 
 def concentration_scan(observable: LocalObservable,

@@ -6,4 +6,4 @@ class DimensionError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """A requested dense object exceeds the configured size cap."""
+    """A requested dense object exceeds its fixed size cap."""

@@ -82,6 +82,12 @@ def haar_unitary(n: int, seed: Seed | int) -> np.ndarray:
     return haar_isometry(ginibre(n, seed))
 
 
+def isometry_defect(q: np.ndarray) -> float:
+    """max |Q^dag Q - 1| over a matrix or a stack of matrices; NaN when
+    Q holds a NaN."""
+    return float(np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(q.shape[-1])).max())
+
+
 def haar_isometry(z: np.ndarray) -> np.ndarray:
     """Haar-distributed orthonormal columns from Ginibre columns ``z``
     (one matrix or a stack): Q of their QR decomposition, each column
@@ -91,7 +97,7 @@ def haar_isometry(z: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (diag / np.abs(diag))[..., np.newaxis, :]
-    defect = np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(q.shape[-1])).max()
+    defect = isometry_defect(q)
     if not defect <= 1e-12:  # also catches the NaN phases of a singular draw
         raise ValueError(f"columns are not isometric: defect {defect:.3e} exceeds 1e-12")
     return q
@@ -111,14 +117,11 @@ def haar_state(n: int, seed: Seed | int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def require_unitary(u: np.ndarray, tol: float = 1e-12) -> None:
-    """Raise unless ``u`` is unitary to within ``tol``.
-
-    The check is the max-entry norm of U^dag U - I.
-    """
+def require_unitary(u: np.ndarray) -> None:
+    """Raise unless ``u`` is unitary: max |U^dag U - I| <= 1e-12."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {u.shape}")
-    defect = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if not defect <= tol:  # NaN entries give a NaN defect
-        raise ValueError(f"matrix is not unitary: defect {defect:.3e} exceeds {tol:.1e}")
+    defect = isometry_defect(u)
+    if not defect <= 1e-12:  # NaN entries give a NaN defect
+        raise ValueError(f"matrix is not unitary: defect {defect:.3e} exceeds 1e-12")

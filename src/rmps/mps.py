@@ -39,10 +39,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .dense import DENSE_AMPLITUDE_CAP, DENSITY_DIM_CAP, DenseState, DensityMatrix, \
-    check_amplitude_cap, check_density_cap
+from .dense import DenseState, DensityMatrix, check_amplitude_cap, check_density_cap
 from .errors import DimensionError
-from .haar import Seed, as_seed, ginibre, haar_isometry, haar_state, require_unitary, subseed
+from .haar import Seed, as_seed, ginibre, haar_isometry, haar_state, isometry_defect, \
+    require_unitary, subseed
 
 BOUNDARIES = ("obc", "pbc")
 
@@ -165,8 +165,7 @@ class Mps:
         site_ops = {obs.start_site + j: op for j, op in enumerate(obs.site_ops)}
         return float(_gram(one, one, site_ops)[0, 0].real) / norm_sq
 
-    def reduced_density_matrix(self, start: int, length: int,
-                               cap: int = DENSITY_DIM_CAP) -> DensityMatrix:
+    def reduced_density_matrix(self, start: int, length: int) -> DensityMatrix:
         """Reduced state of ``length`` contiguous sites from ``start``.
 
         The block is multiplied out with its physical indices open and
@@ -178,7 +177,7 @@ class Mps:
         if not (0 <= start and length >= 1 and start + length <= n):
             raise DimensionError(
                 f"block [{start}, {start + length}) does not fit in {n} sites")
-        check_density_cap(d**length, cap)
+        check_density_cap(d**length)
         lefts, rights = _environments(self, start, n - start - length)
         block = _multiply(np.eye(self.bond_dim, dtype=np.complex128)[np.newaxis],
                           self.tensors[start:start + length])
@@ -197,14 +196,14 @@ class Mps:
         return _normalized(np.stack([_open_pair(left, a, right, a) for left, a, right
                                      in zip(lefts, self.tensors, reversed(rights))]))
 
-    def to_dense(self, cap: int = DENSE_AMPLITUDE_CAP) -> DenseState:
+    def to_dense(self) -> DenseState:
         """Dense amplitudes of the raw state (no normalization).
 
         Assembly holds D^N x chi numbers on open chains and D^N x chi^2
         on rings.
         """
         n, d = self.n_sites, self.phys_dim
-        check_amplitude_cap(d**n, cap)
+        check_amplitude_cap(d**n)
         if self.boundary == "obc":
             left, right = self.left_vec.conj()[:, np.newaxis], self.right_vec[:, np.newaxis]
         else:
@@ -213,14 +212,9 @@ class Mps:
         return DenseState((d,) * n, (psi * right.T).sum(axis=(1, 2)))
 
     def max_isometry_defect(self) -> float:
-        """Largest deviation of any site from sum_i A^i{}^dag A^i = 1."""
-        chi = self.bond_dim
-        eye = np.eye(chi)
-        worst = 0.0
-        for a in self.tensors:
-            s = np.einsum("iab,iac->bc", a.conj(), a, optimize=True)
-            worst = max(worst, float(np.abs(s - eye).max()))
-        return worst
+        """Largest deviation of any site from sum_i A^i{}^dag A^i = 1:
+        the isometry defect of each site's tensors as a D*chi x chi matrix."""
+        return isometry_defect(np.stack(self.tensors).reshape(self.n_sites, -1, self.bond_dim))
 
 
 def a_matrices_from_unitary(u: np.ndarray, phys_dim: int, bond_dim: int) -> np.ndarray:
@@ -487,9 +481,7 @@ def _normalized(rho: np.ndarray) -> np.ndarray:
 
 def transfer_identity(mps: Mps, site: int) -> np.ndarray:
     """Transfer matrix sum_i A^i (x) A^i{}^* of one site, chi^2 x chi^2."""
-    a = mps.tensors[site]
-    chi = mps.bond_dim
-    return np.einsum("iab,icd->acbd", a, a.conj()).reshape(chi * chi, chi * chi)
+    return transfer_observable(mps, site, np.eye(mps.phys_dim))
 
 
 def transfer_observable(mps: Mps, site: int, op: np.ndarray) -> np.ndarray:
@@ -548,13 +540,11 @@ def load_mps(path) -> Mps:
         stored = np.ascontiguousarray(data["tensors"])
         left = data["left_vec"] if "left_vec" in data.files else None
         right = data["right_vec"] if "right_vec" in data.files else None
-    n = int(header["n_sites"])
-    if header["homogeneous"]:
-        tensors = [stored[0]] * n
-    else:
-        if stored.shape[0] != n:
-            raise DimensionError(
-                f"container holds {stored.shape[0]} tensor sets for {n} sites")
-        tensors = [stored[k] for k in range(n)]
-    return Mps(tensors, header["boundary"], left, right,
-               homogeneous=bool(header["homogeneous"]))
+    n, homogeneous = int(header["n_sites"]), bool(header["homogeneous"])
+    d, chi = int(header["phys_dim"]), int(header["bond_dim"])
+    want = (1 if homogeneous else n, d, chi, chi)
+    if stored.shape != want:
+        raise DimensionError(f"container holds tensors of shape {stored.shape}, "
+                             f"its header gives {want}")
+    tensors = [stored[0]] * n if homogeneous else list(stored)
+    return Mps(tensors, header["boundary"], left, right, homogeneous=homogeneous)

@@ -89,7 +89,7 @@ def test_haar_dense_state_and_cap():
     assert np.isclose(s.norm(), 1.0)
     assert np.array_equal(s.amplitudes, haar_dense_state((2, 2, 2), 3).amplitudes)
     with pytest.raises(CapExceededError):
-        haar_dense_state((2,) * 8, 0, cap=100)
+        haar_dense_state((2,) * 21, 0)
 
 
 def test_caps_raise():
@@ -149,7 +149,7 @@ def test_partial_trace_errors():
     with pytest.raises(DimensionError):
         partial_trace(state, [2])
     with pytest.raises(CapExceededError):
-        partial_trace(haar_dense_state((2,) * 6, 0), range(5), cap=16)
+        partial_trace(haar_dense_state((2,) * 11, 0), range(11))
 
 
 def test_trace_distance_examples():

@@ -464,6 +464,20 @@ def test_q_statistics_validation():
     assert hist.counts.size == 10
 
 
+def test_q_statistics_rejects_bin_count_before_drawing(monkeypatch):
+    spec = EnsembleSpec(RmpsSource(4, 2, 2), 7, Seed(3))
+    calls = []
+
+    def counting_draw(s, i):
+        calls.append(i)
+        return draw_mps(s, i)
+
+    monkeypatch.setattr(ensembles, "draw_mps", counting_draw)
+    with pytest.raises(ValueError):
+        q_statistics(spec, bins=0)
+    assert calls == []
+
+
 def test_moment_comparison_product_states():
     """Bond dimension 1: subsystem moments are exactly 1, so the deviation
     is 1 minus the exact Haar moment."""
@@ -592,6 +606,12 @@ def test_concentration_needs_two_samples():
         ensembles.concentration(spec, LocalObservable((SZ,), 0))
 
 
+def test_concentration_needs_a_matrix_product_state_source():
+    spec = EnsembleSpec(CueSource((2, 2, 2)), 5, Seed(0))
+    with pytest.raises(TypeError):
+        ensembles.concentration(spec, LocalObservable((SZ,), 0))
+
+
 def test_concentration_scan_structure():
     """Chi rules accept callables and mappings; reports carry per-sample
     values that reproduce the summary statistics."""
@@ -632,4 +652,3 @@ def test_report_invariants():
     assert np.isfinite(rep.value) and rep.stderr >= 0.0
     assert np.isclose(rep.value, rep.per_sample.mean())
     assert np.isclose(rep.stderr, rep.per_sample.std(ddof=1) / np.sqrt(60))
-    assert rep.wall_time >= 0.0

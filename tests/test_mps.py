@@ -160,6 +160,8 @@ def test_isometry_defect_detects_bad_tensors():
     bad = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
     m = Mps([bad], "pbc")
     assert m.max_isometry_defect() > 0.1
+    nan = Mps([np.eye(3)[np.newaxis], np.full((1, 3, 3), np.nan)], "pbc")
+    assert not nan.max_isometry_defect() <= 1e-12
 
 
 def test_norm_squared_matches_self_overlap():
@@ -252,7 +254,7 @@ def test_reduced_density_matrix_errors():
     with pytest.raises(DimensionError):
         m.reduced_density_matrix(0, 0)
     with pytest.raises(CapExceededError):
-        m.reduced_density_matrix(0, 4, cap=8)
+        sample_rmps(11, 2, 2, 53).reduced_density_matrix(0, 11)
 
 
 def test_zero_norm_state_is_rejected():
@@ -282,9 +284,9 @@ def test_site_density_matrices_match_blocks():
 
 
 def test_to_dense_cap():
-    m = sample_rmps(8, 2, 2, 61)
+    m = sample_rmps(21, 2, 2, 61)
     with pytest.raises(CapExceededError):
-        m.to_dense(cap=100)
+        m.to_dense()
 
 
 def test_overlap_conjugate_symmetry_and_errors():
@@ -346,3 +348,21 @@ def test_container_layout(tmp_path):
         header = json.loads(str(data["header"][()]))
     assert header == {"n_sites": 3, "phys_dim": 2, "bond_dim": 2,
                       "boundary": "obc", "homogeneous": False}
+
+
+def test_load_rejects_header_that_disagrees_with_tensors(tmp_path):
+    """A header whose site count, dimensions or homogeneity do not match
+    the stored tensor sets raises DimensionError instead of loading."""
+    import json
+    m = sample_rmps(4, 2, 2, 101)
+    path = tmp_path / "state.npz"
+    save_mps(m, path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    header = json.loads(str(arrays["header"][()]))
+    for edit in ({"bond_dim": 7}, {"phys_dim": 3}, {"n_sites": 5},
+                 {"homogeneous": True}, {"homogeneous": True, "bond_dim": 7}):
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **{**arrays, "header": np.array(json.dumps({**header, **edit}))})
+        with pytest.raises(DimensionError):
+            load_mps(bad)
