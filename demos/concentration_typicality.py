@@ -36,7 +36,7 @@ for rep in concentration_scan(obs, lambda n: 4, [8, 16, 32], 800, 10):
 # together as the bath grows.
 for bath in (5, 7, 9):
     spec = EnsembleSpec(CueSource((2,) * (1 + bath)), 300, 11)
-    rep = subsystem_distance_stats(spec, 1, "trace", "exact")
+    rep = subsystem_distance_stats(spec, 1)
     bound = typicality_bound(2, 2**bath)
     print(f"bath={bath} qubits: mean distance {rep.value:.4f} "
           f"<= bound {bound:.4f}")
@@ -45,5 +45,5 @@ for bath in (5, 7, 9):
 # block and bond dimension.
 for n in (9, 17, 33):
     spec = EnsembleSpec(RmpsSource(n, 2, 8), 300, 12)
-    rep = subsystem_distance_stats(spec, 1, "trace", "exact")
+    rep = subsystem_distance_stats(spec, 1)
     print(f"N={n:2d}, chi=8: mean one-site distance = {rep.value:.4f}")

@@ -198,13 +198,13 @@ def _plan_subsystem_convergence(cfg: RunConfig) -> Plan:
     def execute():
         rows = []
         for length, spec in zip(lengths, specs):
-            rep = ensembles.subsystem_distance_stats(spec, length, "trace", "exact")
+            rep = ensembles.subsystem_distance_stats(spec, length)
             rows.append((length, 2**length, rep.value, rep.stderr,
                          dense.typicality_bound(2**length, 2 ** (n - length))))
         return [Table("subsystem_distance",
                       ("block_sites", "block_dim", "mean_trace_distance", "stderr",
                        "typicality_bound"), rows)]
-    return Plan(specs, execute, dense_dim=2 ** max(max_length, 0))
+    return Plan(specs, execute, dense_dim=2**max_length)
 
 
 @_register("bound-comparison",
@@ -219,7 +219,7 @@ def _plan_bound_comparison(cfg: RunConfig) -> Plan:
 
     def rows(spec):
         n_bath = len(ensembles.source_dims(spec.source)) - 1
-        rep = ensembles.subsystem_distance_stats(spec, 1, "trace", "exact")
+        rep = ensembles.subsystem_distance_stats(spec, 1)
         return [(n_bath, 2**n_bath, rep.value, rep.stderr,
                  dense.typicality_bound(2, 2**n_bath))]
     return _table_plan("bound_comparison",

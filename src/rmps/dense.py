@@ -176,7 +176,7 @@ def partial_trace(obj: DenseState | DensityMatrix, keep: Sequence[int]) -> Densi
     n = len(dims)
     if len(keep) == 0:
         raise DimensionError("keep must name at least one site")
-    if keep != tuple(sorted(set(keep))) or keep[0] < 0 or keep[-1] >= n:
+    if keep[0] < 0 or keep[-1] >= n:
         raise DimensionError(f"keep sites {keep} out of range for {n} sites")
     traced = tuple(i for i in range(n) if i not in keep)
     kept_dim = math.prod(dims[i] for i in keep)
@@ -232,12 +232,14 @@ def purity_moment(rho: DensityMatrix | np.ndarray, m: int) -> float:
     return float(np.sum(_spectrum(rho)**m))
 
 
+def clamp_roundoff(lam: np.ndarray) -> np.ndarray:
+    """Eigenvalues with the roundoff negatives above -1e-10 set to 0."""
+    return np.where((-1e-10 <= lam) & (lam < 0.0), 0.0, lam)
+
+
 def min_eigenvalue(rho: DensityMatrix | np.ndarray) -> float:
     """Smallest eigenvalue; roundoff negatives above -1e-10 clamp to 0."""
-    lam = float(_spectrum(rho)[0])
-    if -1e-10 <= lam < 0.0:
-        return 0.0
-    return lam
+    return float(clamp_roundoff(_spectrum(rho)[0]))
 
 
 def global_entanglement(state: DenseState) -> float:

@@ -13,16 +13,19 @@ plain per-sample average, the per-sample values.  Uncertainties are
 sample-stddev / sqrt(r) for per-sample averages, leave-one-out
 jackknife for statistics that are nonlinear functions of the whole
 sample (state-average distances, the pairwise purity estimator), and
-the fourth-moment delta formula for reported standard deviations.  The
-average-state jackknife solves all r leave-one-out spectra in the
-eigenbasis of one matrix, each as a real diagonal-minus-rank-one matrix.
+the fourth-moment delta formula for reported standard deviations.
+
+Each kind of sample has one draw loop.  The dense-state estimators
+read the r x d amplitudes of `_dense_states`; the leading-block ones
+(distance to I/d, moments, smallest eigenvalue) read the r x d_A
+ascending spectra of `_block_spectra`, each solved once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -187,31 +190,25 @@ def _dense_states(spec: EnsembleSpec) -> np.ndarray:
     return states
 
 
-def _projector_sums(spec: EnsembleSpec) -> Iterator[np.ndarray]:
-    """Running sums of |psi_i><psi_i| in index order, one d x d array updated in place."""
-    d = total_dim(spec.source)
-    dense.check_density_cap(d)
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for i in range(spec.r):
-        psi = draw_dense(spec, i).amplitudes
-        acc += np.outer(psi, psi.conj())
-        yield acc
-
-
 def empirical_average_state(spec: EnsembleSpec) -> DensityMatrix:
     """Mean projector (1/r) sum_i |psi_i><psi_i| over the ensemble."""
-    for acc in _projector_sums(spec):
-        pass
-    avg = acc / spec.r
+    dense.check_density_cap(total_dim(spec.source))
+    states = _dense_states(spec)
+    avg = states.T @ states.conj() / spec.r
     return DensityMatrix(source_dims(spec.source), (avg + avg.conj().T) / 2.0)
 
 
 def average_state_convergence(spec: EnsembleSpec) -> np.ndarray:
     """Trace distances to I/d of the average state of the first k samples, k = 1 .. r."""
     d = total_dim(spec.source)
+    dense.check_density_cap(d)
     target = np.eye(d, dtype=np.complex128) / d
-    return np.array([dense.trace_distance(acc / k, target)
-                     for k, acc in enumerate(_projector_sums(spec), 1)])
+    acc = np.zeros((d, d), dtype=np.complex128)
+    dists = np.empty(spec.r)
+    for k, psi in enumerate(_dense_states(spec), 1):
+        acc += np.outer(psi, psi.conj())
+        dists[k - 1] = dense.trace_distance(acc / k, target)
+    return dists
 
 
 def average_state_distance(spec: EnsembleSpec, norm: str = "trace") -> EnsembleReport:
@@ -240,8 +237,8 @@ def average_state_distance(spec: EnsembleSpec, norm: str = "trace") -> EnsembleR
         loo = np.empty(r)
         for i in range(r):
             a = np.abs(states[i] @ v.conj())
-            loo[i] = _norm_of_spectrum(np.linalg.eigvalsh(diag - np.outer(a, a) / (r - 1)),
-                                       norm)
+            mu = np.linalg.eigvalsh(diag - np.outer(a, a) / (r - 1))
+            loo[i] = np.abs(mu).sum() if norm == "trace" else np.sqrt(np.sum(mu * mu))
         se = _jackknife_se(loo)
     return EnsembleReport(spec, f"average_state_distance[{norm}]", float(value), se)
 
@@ -254,11 +251,6 @@ def _metric(norm: str) -> Callable[[np.ndarray, np.ndarray], float]:
     raise ValueError(f"norm must be 'trace' or 'hs', got {norm!r}")
 
 
-def _norm_of_spectrum(mu: np.ndarray, norm: str) -> float:
-    """The trace or Hilbert-Schmidt norm of a Hermitian matrix with eigenvalues mu."""
-    return float(np.abs(mu).sum()) if norm == "trace" else float(np.sqrt(np.sum(mu * mu)))
-
-
 def _reduced(spec: EnsembleSpec, index: int, length: int) -> DensityMatrix:
     src = spec.source
     if isinstance(src, RmpsSource):
@@ -266,30 +258,24 @@ def _reduced(spec: EnsembleSpec, index: int, length: int) -> DensityMatrix:
     return dense.partial_trace(draw_dense(spec, index), range(length))
 
 
-def subsystem_distance_stats(spec: EnsembleSpec, length: int, norm: str = "trace",
-                             reference: str = "exact") -> EnsembleReport:
-    """Mean distance of the leading-block reduced states from a reference.
+def _block_spectra(spec: EnsembleSpec, length: int) -> np.ndarray:
+    """The r x d_A ascending spectra of the samples' reduced states on
+    the first ``length`` sites: the eigenvalues that validated each."""
+    spectra = np.empty((spec.r, math.prod(source_dims(spec.source)[:length])))
+    for i in range(spec.r):
+        spectra[i] = _reduced(spec, i, length).spectrum
+    return spectra
 
-    The block is the first ``length`` sites.  ``reference`` picks the
-    comparison state: "exact" is the maximally mixed state, "empirical"
-    the average of the sampled reduced states themselves.
-    """
+
+def subsystem_distance_stats(spec: EnsembleSpec, length: int) -> EnsembleReport:
+    """Mean trace distance from I/d of the reduced states of the first
+    ``length`` sites: sum_i |lambda_i - 1/d| each, as I/d commutes with them."""
     dims = source_dims(spec.source)
     if not 1 <= length <= len(dims):
         raise DimensionError(f"block length {length} outside [1, {len(dims)}]")
-    metric = _metric(norm)
-    block_dim = math.prod(dims[:length])
-    rhos = (_reduced(spec, i, length) for i in range(spec.r))
-    if reference == "exact":
-        # I/d commutes with rho, so the validation spectrum gives the distance
-        dists = [_norm_of_spectrum(rho.spectrum - 1.0 / block_dim, norm) for rho in rhos]
-    elif reference == "empirical":
-        rhos = list(rhos)  # the reference needs every state before any distance
-        ref = sum(rho.matrix for rho in rhos) / spec.r
-        dists = [metric(rho, ref) for rho in rhos]
-    else:
-        raise ValueError(f"reference must be 'exact' or 'empirical', got {reference!r}")
-    return _mean_report(spec, f"subsystem_distance[{norm},{reference}]", dists)
+    spectra = _block_spectra(spec, length)
+    dists = np.abs(spectra - 1.0 / spectra.shape[1]).sum(axis=1)
+    return _mean_report(spec, "subsystem_distance[trace,exact]", dists)
 
 
 def purity_of_average_via_overlaps(spec: EnsembleSpec) -> EnsembleReport:
@@ -426,26 +412,25 @@ def moment_comparisons(spec: EnsembleSpec, d_a: int,
     """moment_comparison for each order in ``ms``, from one pass over
     the samples.
 
-    The exact Haar value of every order is computed before any sample
-    is drawn, so an order without one (any m outside {2, 3, 4}, m < 1
-    included) raises ValueError at once.  Each sample is then drawn
-    and reduced once, and the spectrum its validation computed serves
-    every order: Tr(rho_A^m) is the sum of the m-th powers of those
-    eigenvalues, bitwise what dense.purity_moment gives.
+    An empty ``ms``, or an order without an exact Haar value (any m
+    outside {2, 3, 4}, m < 1 included), raises ValueError before any
+    sample is drawn.  Each sample is then drawn and reduced once, and
+    the spectrum its validation computed serves every order:
+    Tr(rho_A^m) is the sum of the m-th powers of those eigenvalues,
+    bitwise what dense.purity_moment gives.
     """
     dims = source_dims(spec.source)
     length = _split_length(dims, d_a)
     d_b = total_dim(spec.source) // d_a
     ms = [int(m) for m in ms]
+    if not ms:
+        raise ValueError("moment_comparisons needs at least one moment order")
     exact = [dense.cue_purity_moment(m, d_a, d_b) for m in ms]
-    vals = np.empty((len(ms), spec.r))
-    for i in range(spec.r):
-        lam = _reduced(spec, i, length).spectrum
-        for j, m in enumerate(ms):
-            vals[j, i] = float(np.sum(lam**m))
+    spectra = _block_spectra(spec, length)
     reports = []
-    for m, ref, v in zip(ms, exact, vals):
-        rep = _mean_report(spec, f"moment_deviation[m={m},d_a={d_a}]", v)
+    for m, ref in zip(ms, exact):
+        rep = _mean_report(spec, f"moment_deviation[m={m},d_a={d_a}]",
+                           np.sum(spectra**m, axis=1))
         rep.value = abs(rep.value - ref)
         reports.append(rep)
     return reports
@@ -466,9 +451,7 @@ def min_eig_comparison(spec: EnsembleSpec, d_a: int,
     length = _split_length(dims, d_a)
     if exact is None:
         exact = dense.cue_min_eigenvalue(d_a, total_dim(spec.source) // d_a)
-    vals = np.empty(spec.r)
-    for i in range(spec.r):
-        vals[i] = dense.min_eigenvalue(_reduced(spec, i, length))
+    vals = dense.clamp_roundoff(_block_spectra(spec, length)[:, 0])
     rep = _mean_report(spec, f"min_eig_deviation[d_a={d_a}]", vals)
     rep.value = abs(rep.value - exact)
     return rep
@@ -481,6 +464,9 @@ def concentration(spec: EnsembleSpec, observable: LocalObservable) -> EnsembleRe
     src = spec.source
     if not isinstance(src, RmpsSource):
         raise TypeError("concentration needs a matrix product state source")
+    if observable.phys_dim != src.phys_dim:
+        raise DimensionError(f"observable dimension {observable.phys_dim} "
+                             f"!= physical dimension {src.phys_dim}")
     if observable.start_site + observable.n_sites > src.n_sites:
         raise DimensionError(f"observable does not fit in a chain of {src.n_sites} sites")
     if spec.r < 2:

@@ -252,7 +252,7 @@ def test_subsystem_distance_within_typicality_bound(capsys):
     margins = []
     for idx, bath in enumerate((5, 6, 7, 8, 9)):
         spec = EnsembleSpec(CueSource((2,) * (1 + bath)), 500, subseed(70, idx))
-        rep = ensembles.subsystem_distance_stats(spec, 1, "trace", "exact")
+        rep = ensembles.subsystem_distance_stats(spec, 1)
         bound = typicality_bound(2, 2**bath)
         margins.append(bound + 3 * rep.stderr - rep.value)
         if rep.value > bound + 3 * rep.stderr:

@@ -200,7 +200,7 @@ def test_exact_subsystem_distance_reuses_the_validation_spectrum(monkeypatch):
     calls = []
     real = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
-    rep = subsystem_distance_stats(spec, 2, "trace", "exact")
+    rep = subsystem_distance_stats(spec, 2)
     assert len(calls) == spec.r
     assert np.allclose(rep.per_sample, want, rtol=0.0, atol=1e-12)
 
@@ -209,7 +209,7 @@ def test_subsystem_distance_of_pure_samples():
     """Bond dimension 1 gives product states: every one-site reduction is
     pure, at trace distance exactly 1 from the maximally mixed state."""
     spec = EnsembleSpec(RmpsSource(4, 2, 1), 50, Seed(11))
-    rep = subsystem_distance_stats(spec, 1, "trace", "exact")
+    rep = subsystem_distance_stats(spec, 1)
     assert abs(rep.value - 1.0) < 1e-10
     assert rep.per_sample.min() >= 0.0
     assert rep.per_sample.max() <= 2.0
@@ -217,37 +217,8 @@ def test_subsystem_distance_of_pure_samples():
 
 def test_subsystem_distance_references_and_errors():
     spec = EnsembleSpec(RmpsSource(4, 2, 2), 30, Seed(13))
-    exact = subsystem_distance_stats(spec, 1, "trace", "exact")
-    empirical = subsystem_distance_stats(spec, 1, "trace", "empirical")
-    assert exact.value > 0.0 and empirical.value > 0.0
     with pytest.raises(DimensionError):
         subsystem_distance_stats(spec, 5)
-    with pytest.raises(ValueError):
-        subsystem_distance_stats(spec, 1, reference="average")
-
-
-def test_empirical_subsystem_reference_draws_each_sample_once(monkeypatch):
-    """The empirical reference comes from the same pass as the distances:
-    r draws, not 2r, and bitwise the two-pass value (reference summed in
-    index order, then every state redrawn against it)."""
-    spec = EnsembleSpec(RmpsSource(5, 2, 3), 9, Seed(21))
-    ref = np.zeros((4, 4), dtype=np.complex128)
-    for i in range(spec.r):
-        ref += ensembles._reduced(spec, i, 2).matrix
-    ref = ref / spec.r
-    want = np.array([trace_distance(ensembles._reduced(spec, i, 2), ref)
-                     for i in range(spec.r)])
-    calls = []
-
-    def counting_draw(s, i):
-        calls.append(i)
-        return draw_mps(s, i)
-
-    monkeypatch.setattr(ensembles, "draw_mps", counting_draw)
-    rep = subsystem_distance_stats(spec, 2, "trace", "empirical")
-    assert calls == list(range(spec.r))
-    assert np.array_equal(rep.per_sample, want)
-    assert rep.value == float(want.mean())
 
 
 def test_average_state_convergence_prefixes_nest():
@@ -269,7 +240,7 @@ def test_subsystem_distance_saturates_with_bath():
     rows = []
     for idx, n in enumerate((9, 17, 33)):
         spec = EnsembleSpec(RmpsSource(n, 2, 8), 400, subseed(6, idx))
-        rep = subsystem_distance_stats(spec, 1, "trace", "exact")
+        rep = subsystem_distance_stats(spec, 1)
         rows.append(rep)
     for a, b in zip(rows, rows[1:]):
         assert b.value <= a.value + 2 * np.hypot(a.stderr, b.stderr)
@@ -527,7 +498,20 @@ def test_moment_comparisons_match_per_order_reports():
             assert np.array_equal(rep.per_sample, want.per_sample)
 
 
-def test_moment_comparisons_draw_each_sample_once(monkeypatch):
+@pytest.mark.parametrize("estimator, draws", [
+    (lambda spec: subsystem_distance_stats(spec, 2), True),
+    (lambda spec: moment_comparisons(spec, 4, [2, 3, 4]), True),
+    (lambda spec: min_eig_comparison(spec, 4), True),
+    (ensembles.average_state_convergence, True),
+    (empirical_average_state, True),
+    (lambda spec: moment_comparisons(spec, 4, []), False),
+    (lambda spec: moment_comparisons(spec, 4, [2, 0]), False),
+    (lambda spec: ensembles.concentration(spec, LocalObservable((np.eye(3),), 0)), False),
+], ids=["subsystem_distance", "moments", "min_eig", "average_state_convergence",
+        "empirical_average_state", "no_orders", "order_0", "observable_dim"])
+def test_estimators_draw_each_sample_at_most_once(monkeypatch, estimator, draws):
+    """Each estimator draws samples 0 .. r-1 once each, and one with an
+    invalid argument raises before its first draw."""
     spec = EnsembleSpec(RmpsSource(4, 2, 2), 7, Seed(3))
     calls = []
 
@@ -536,12 +520,13 @@ def test_moment_comparisons_draw_each_sample_once(monkeypatch):
         return draw_mps(s, i)
 
     monkeypatch.setattr(ensembles, "draw_mps", counting_draw)
-    moment_comparisons(spec, 4, [2, 3, 4])
-    assert sorted(calls) == list(range(spec.r))
-    calls.clear()
-    with pytest.raises(ValueError):
-        moment_comparisons(spec, 4, [2, 0])
-    assert calls == []
+    if draws:
+        estimator(spec)
+        assert calls == list(range(spec.r))
+    else:
+        with pytest.raises(ValueError):
+            estimator(spec)
+        assert calls == []
 
 
 def test_reduced_state_spectra_are_solved_once(monkeypatch):
