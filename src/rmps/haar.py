@@ -5,6 +5,12 @@ ensemble is reproducible from a single 64-bit master seed.  Generators
 are counter-based (Philox), and per-sample seeds are derived with a
 splitmix64 chain, so a batch of samples gives identical results no
 matter how it is split across workers or evaluation order.
+
+A Philox stream depends only on its key, so one generator serves a
+whole sample: ``rekey`` resets it to the start of the stream a fresh
+``generator(seed)`` would give, and a sampler passes it in place of the
+seed of each draw.  Re-keying costs a fifth of building a generator,
+whose construction also draws OS entropy that the key then overrides.
 """
 
 from __future__ import annotations
@@ -59,12 +65,30 @@ def subseed(seed: Seed | int, index: int) -> Seed:
     return Seed(_mix64((parent.value + (index + 1) * _GAMMA) & _MASK64))
 
 
-def generator(seed: Seed | int) -> np.random.Generator:
-    """Counter-based random generator keyed by the seed."""
+def generator(seed: Seed | int | np.random.Generator) -> np.random.Generator:
+    """Counter-based random generator keyed by the seed; a Generator
+    passes through unchanged."""
+    if isinstance(seed, np.random.Generator):
+        return seed
     return np.random.Generator(np.random.Philox(key=as_seed(seed).value))
 
 
-def ginibre(n: int, seed: Seed | int) -> np.ndarray:
+_ZEROS4 = np.zeros(4, dtype=np.uint64)
+
+
+def rekey(rng: np.random.Generator, seed: Seed | int) -> np.random.Generator:
+    """Reset a Philox generator to key [seed, 0], counter 0 and an empty
+    buffer, and return it: bitwise the stream generator(seed) starts,
+    whatever the generator drew before."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS4, "key": np.array([as_seed(seed).value, 0], dtype=np.uint64)},
+        "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
+
+
+def ginibre(n: int, seed: Seed | int | np.random.Generator) -> np.ndarray:
     """n x n matrix of i.i.d. standard complex Gaussian entries.
 
     Each entry is x + iy with x and y independent N(0, 1) variables.
@@ -103,7 +127,7 @@ def haar_isometry(z: np.ndarray) -> np.ndarray:
     return q
 
 
-def haar_state(n: int, seed: Seed | int) -> np.ndarray:
+def haar_state(n: int, seed: Seed | int | np.random.Generator) -> np.ndarray:
     """Haar-random unit vector in C^n.
 
     A normalized vector of i.i.d. complex Gaussians; by unitary

@@ -12,7 +12,9 @@ the physical site plus a bond-space ancilla, which makes every sampled
 tensor set an exact isometry sum_i A^i{}^dag A^i = 1.  Only the chi
 columns a site keeps are ever formed: a sample is one thin QR over the
 stacked Ginibre columns of all its sites and one isometry check, and
-gives bitwise the cut of the full unitaries.
+gives bitwise the cut of the full unitaries.  A sample builds one Philox
+generator and re-keys it to each site's subseed before the site's draw
+(haar.rekey), the same streams as one generator per site.
 
 Every contraction of ket chains against bra chains (norm, overlap,
 expectation value, block and site reduced states, the Gram block of a
@@ -28,7 +30,9 @@ dimension and one the other way round, and the ring's boundary axis
 folds in the same way, so open chains and rings run the same kernel.
 Contractions never build the full chi^2 x chi^2 transfer matrices
 except in the two functions that expose them; a sweep costs
-O(N D chi^3) per pair on open chains and O(N D chi^5) on rings.
+O(N D chi^3) per pair on open chains and O(N D chi^5) on rings.  The
+one-site reduced states of a chain close between their environments
+all at once, in three matrix products batched over the sites.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ import numpy as np
 
 from .dense import DenseState, DensityMatrix, check_amplitude_cap, check_density_cap
 from .errors import DimensionError
-from .haar import Seed, as_seed, ginibre, haar_isometry, haar_state, isometry_defect, \
-    require_unitary, subseed
+from .haar import Seed, as_seed, generator, ginibre, haar_isometry, haar_state, \
+    isometry_defect, rekey, require_unitary, subseed
 
 BOUNDARIES = ("obc", "pbc")
 
@@ -181,7 +185,8 @@ class Mps:
         lefts, rights = _environments(self, start, n - start - length)
         block = _multiply(np.eye(self.bond_dim, dtype=np.complex128)[np.newaxis],
                           self.tensors[start:start + length])
-        rho = _normalized(_open_pair(lefts[-1], block, rights[-1], block))
+        rho = _normalized(_open_sites(lefts[-1][np.newaxis], block[np.newaxis],
+                                      rights[-1][np.newaxis])[0])
         rho = (rho + rho.conj().T) / 2.0
         return DensityMatrix((d,) * length, rho)
 
@@ -189,12 +194,13 @@ class Mps:
         """All one-site reduced density matrices, shape (N, D, D).
 
         One environment sweep each way for the whole chain, so the total
-        cost is O(N D chi^3) on open chains and O(N D chi^5) on rings.
+        cost is O(N D chi^3) on open chains and O(N D chi^5) on rings;
+        every site then closes in one batched product (_open_sites).
         """
         n = self.n_sites
         lefts, rights = _environments(self, n - 1, n - 1)
-        return _normalized(np.stack([_open_pair(left, a, right, a) for left, a, right
-                                     in zip(lefts, self.tensors, reversed(rights))]))
+        return _normalized(_open_sites(np.stack(lefts), np.stack(self.tensors),
+                                       np.stack(rights[::-1])))
 
     def to_dense(self) -> DenseState:
         """Dense amplitudes of the raw state (no normalization).
@@ -247,37 +253,41 @@ def sample_rmps(n_sites: int, phys_dim: int, bond_dim: int, seed: Seed | int,
     left boundary to the first bond basis vector and draw the right
     boundary Haar-randomly from subseed(seed, n_sites).  The raw state
     is not normalized; all statistics downstream divide by
-    norm_squared().
+    norm_squared().  Every draw reads one generator, re-keyed to its
+    subseed first.
     """
     if n_sites < 1:
         raise DimensionError(f"n_sites must be positive, got {n_sites}")
     seed = as_seed(seed)
+    rng = generator(seed)
     if homogeneous:
-        tensors = [_site_tensors(1, phys_dim, bond_dim, seed)[0]] * n_sites
+        tensors = [_site_tensors(1, phys_dim, bond_dim, seed, rng)[0]] * n_sites
     else:
-        tensors = list(_site_tensors(n_sites, phys_dim, bond_dim, seed))
+        tensors = list(_site_tensors(n_sites, phys_dim, bond_dim, seed, rng))
     if boundary == "obc":
         left = np.zeros(bond_dim, dtype=np.complex128)
         left[0] = 1.0
-        right = haar_state(bond_dim, subseed(seed, n_sites))
+        right = haar_state(bond_dim, rekey(rng, subseed(seed, n_sites)))
         return Mps(tensors, "obc", left, right, homogeneous=homogeneous)
     return Mps(tensors, "pbc", homogeneous=homogeneous)
 
 
-def _site_tensors(n_sets: int, phys_dim: int, bond_dim: int, seed: Seed) -> np.ndarray:
+def _site_tensors(n_sets: int, phys_dim: int, bond_dim: int, seed: Seed,
+                  rng: np.random.Generator) -> np.ndarray:
     """Tensor sets of sites 0 .. n_sets - 1, shape (n_sets, D, chi, chi).
 
-    Draws each site's full Ginibre matrix from subseed(seed, k), so the
-    random stream is that of haar_unitary, and keeps its first chi
-    columns.  Householder QR of those columns gives exactly the first
-    chi columns of the full Q and the leading chi x chi block of R, so
-    one haar_isometry call on the stack yields bitwise the tensors
-    a_matrices_from_unitary cuts out of the full unitaries.
+    Draws each site's full Ginibre matrix from rng re-keyed to
+    subseed(seed, k), so the random stream is that of haar_unitary, and
+    keeps its first chi columns.  Householder QR of those columns gives
+    exactly the first chi columns of the full Q and the leading chi x chi
+    block of R, so one haar_isometry call on the stack yields bitwise
+    the tensors a_matrices_from_unitary cuts out of the full unitaries.
     """
     d, chi = int(phys_dim), int(bond_dim)
     if d < 1 or chi < 1:
         raise DimensionError(f"dimensions must be positive, got D={d}, chi={chi}")
-    z = np.stack([ginibre(d * chi, subseed(seed, k))[:, :chi] for k in range(n_sets)])
+    z = np.stack([ginibre(d * chi, rekey(rng, subseed(seed, k)))[:, :chi]
+                  for k in range(n_sets)])
     return haar_isometry(z).reshape(n_sets, d, chi, chi)
 
 
@@ -431,7 +441,7 @@ def _environments(mps: Mps, n_left: int, n_right: int
                   ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Left environments of <mps|mps> over its first n_left sites and
     right ones over its last n_right, boundary first, each in the
-    [a, c, s] layout of _open_pair.
+    [a, c, s] layout of _open_sites.
 
     A left environment is the same sweep on transposed site matrices.
     Every step absorbs the ket first, whatever the site's parity: one
@@ -451,15 +461,19 @@ def _environments(mps: Mps, n_left: int, n_right: int
             sweep(right, one.tensors[::-1][:n_right]))
 
 
-def _open_pair(left: np.ndarray, ket: np.ndarray, right: np.ndarray,
-               bra: np.ndarray) -> np.ndarray:
-    """Close a site between its environments with the physical indices
-    open: rho[I, J] = sum left[a, c, s] ket[I, a, b] right[b, d, s] conj(bra[J, c, d]).
+def _open_sites(lefts: np.ndarray, kets: np.ndarray, rights: np.ndarray) -> np.ndarray:
+    """Close sites (or blocks) stacked on a leading axis n between their
+    environments, with the physical indices open:
+    rho[n, I, J] = sum lefts[n, a, c, s] kets[n, I, a, b] rights[n, b, d, s]
+    conj(kets[n, J, c, d]), in three products batched over n.
     """
-    d, chi, _ = ket.shape
-    t = np.matmul(ket, right.reshape(chi, -1)).reshape(d, chi, *right.shape[1:])
-    t = np.tensordot(t, left, axes=([1, 3], [0, 2]))
-    return np.tensordot(t, bra.conj(), axes=([2, 1], [1, 2]))
+    n, d, chi, _ = kets.shape
+    s = rights.shape[-1]
+    t = np.matmul(kets, rights.reshape(n, 1, chi, chi * s))
+    t = t.reshape(n, d, chi, chi, s).transpose(0, 1, 3, 2, 4).reshape(n, d * chi, chi * s)
+    t = np.matmul(t, lefts.transpose(0, 1, 3, 2).reshape(n, chi * s, chi))
+    t = t.reshape(n, d, chi, chi).transpose(0, 1, 3, 2).reshape(n, d, chi * chi)
+    return np.matmul(t, kets.conj().reshape(n, d, chi * chi).swapaxes(-1, -2))
 
 
 def _multiply(m: np.ndarray, tensors) -> np.ndarray:

@@ -11,6 +11,7 @@ from rmps.haar import (
     ginibre,
     haar_state,
     haar_unitary,
+    rekey,
     require_unitary,
     subseed,
 )
@@ -64,6 +65,21 @@ def test_generator_deterministic():
     c = generator(12).standard_normal(100)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_rekey_gives_the_stream_of_a_fresh_generator():
+    """A re-keyed generator draws bitwise what generator(seed) draws, for
+    Ginibre matrices and Haar states, whatever it drew before: here a
+    uint32 draw leaves half of a 64-bit output in its buffer."""
+    rng = generator(0)
+    for i in range(300):
+        s = subseed(31, i)
+        rng.integers(0, 10, size=i % 3 + 1, dtype=np.uint32)
+        assert np.array_equal(ginibre(4, rekey(rng, s)), ginibre(4, s))
+        assert np.array_equal(ginibre(32, rekey(rng, s)), ginibre(32, s))
+        assert np.array_equal(haar_state(5, rekey(rng, s)), haar_state(5, s))
+    assert rekey(rng, 7) is rng
+    assert generator(rng) is rng
 
 
 def test_ginibre_shape_and_determinism():

@@ -133,6 +133,23 @@ def test_sample_rmps_rejects_non_isometric_draw(monkeypatch):
         sample_rmps(3, 2, 2, 0)
 
 
+def test_sample_rmps_builds_one_philox_per_call(monkeypatch):
+    """One bit generator per sample, re-keyed before each draw, on open,
+    ring and homogeneous chains."""
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+    monkeypatch.setattr(np.random, "Philox", counting)
+    for homogeneous, boundary in ((False, "obc"), (False, "pbc"), (True, "obc"),
+                                  (True, "pbc")):
+        built.clear()
+        sample_rmps(6, 2, 3, 17, homogeneous=homogeneous, boundary=boundary)
+        assert len(built) == 1, (homogeneous, boundary)
+
+
 def test_sample_rmps_homogeneous_aliases_one_tensor():
     m = sample_rmps(5, 2, 2, 3, homogeneous=True)
     assert m.homogeneous
@@ -281,6 +298,23 @@ def test_site_density_matrices_match_blocks():
             assert np.isclose(np.trace(rhos[k]).real, 1.0)
             want = m.reduced_density_matrix(k, 1).matrix
             assert np.abs(rhos[k] - want).max() < 1e-10
+
+
+@pytest.mark.parametrize("n_sites, phys_dim, bond_dim", [
+    (1, 2, 2), (1, 3, 1), (4, 2, 1), (4, 3, 1), (3, 3, 2), (3, 1, 3), (5, 3, 4)])
+def test_site_density_matrices_edge_shapes(n_sites, phys_dim, bond_dim):
+    """The batched closure of every site agrees with one-site blocks on
+    single sites, product states (chi = 1), qutrits and D = 1, on open
+    chains, rings and homogeneous chains."""
+    for seed, (homogeneous, boundary) in enumerate(((False, "obc"), (False, "pbc"),
+                                                    (True, "obc"), (True, "pbc"))):
+        m = sample_rmps(n_sites, phys_dim, bond_dim, 60 + seed, homogeneous=homogeneous,
+                        boundary=boundary)
+        rhos = m.site_density_matrices()
+        assert rhos.shape == (n_sites, phys_dim, phys_dim)
+        for k in range(n_sites):
+            want = m.reduced_density_matrix(k, 1).matrix
+            assert np.abs(rhos[k] - want).max() < 1e-12
 
 
 def test_to_dense_cap():
