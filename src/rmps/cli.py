@@ -12,10 +12,12 @@ A config file is a JSON object with an "experiment" id and optional
 Flag overrides win over the file; override keys named r, seed, format
 or out target those fields and any other key lands in params.
 
-run makes the same checks as validate before it draws any sample: the
-experiment's plan reads and checks its params, builds every ensemble of
-its grid and runs its range and cap checks.  validate reports the one
-problem the plan stops on.
+run makes the same checks as validate before it draws any sample: each
+param must have its registry default's JSON type, then the experiment's
+plan reads and checks its params, builds every ensemble of its grid and
+runs its range and cap checks.  validate reports the one problem the
+plan stops on.  Plans share their parts: every chain comes from
+_source_from_params, and a plan with one table is a _table_plan.
 
 Every run writes its data tables plus a manifest.json carrying the
 resolved config, per-file sha256 checksums and wall time; the manifest
@@ -30,6 +32,7 @@ would be exceeded, 4 output I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -126,7 +129,7 @@ def _source_from_params(p: dict, n: int, chi: int,
         return CueSource((2,) * n)
     if kind != "rmps":
         raise ConfigError(f"source must be 'rmps' or 'cue', got {kind!r}")
-    homogeneous = bool(p.get("homogeneous", False))
+    homogeneous = p.get("homogeneous", False)
     if homogeneous and mixed_reference:
         raise ConfigError(f"homogeneous chains do not average to the maximally mixed "
                           f"state: the reference {mixed_reference} needs homogeneous: false")
@@ -136,14 +139,13 @@ def _source_from_params(p: dict, n: int, chi: int,
 def _axis(p: dict, key: str) -> list:
     """The grid axis params[key]; an empty one is a config error, so
     no run writes a table without rows."""
-    values = list(p[key])
-    if not values:
+    if not p[key]:
         raise ConfigError(f"{key} must not be empty")
-    return values
+    return p[key]
 
 
 def _chi_sources(p: dict) -> list[RmpsSource]:
-    return [RmpsSource(int(p["n"]), 2, int(chi)) for chi in _axis(p, "chis")]
+    return [_source_from_params(p, p["n"], chi) for chi in _axis(p, "chis")]
 
 
 def _grid(cfg: RunConfig, sources: list, keys=None) -> list[EnsembleSpec]:
@@ -170,8 +172,7 @@ def _plan_avg_state_convergence(cfg: RunConfig) -> Plan:
     """Trace distance of the running average state to maximal mixedness,
     one row per sample-count prefix."""
     p = cfg.params
-    spec = EnsembleSpec(_source_from_params(p, int(p["n"]), int(p["chi"]), "I/d"),
-                        cfg.r, cfg.seed)
+    spec = EnsembleSpec(_source_from_params(p, p["n"], p["chi"], "I/d"), cfg.r, cfg.seed)
     return _table_plan("distance_vs_r", ("r_prefix", "trace_distance"), [spec],
                        lambda spec: enumerate(ensembles.average_state_convergence(spec), 1),
                        dense_dim=ensembles.total_dim(spec.source))
@@ -185,9 +186,9 @@ def _plan_subsystem_convergence(cfg: RunConfig) -> Plan:
     """Mean trace distance of leading blocks from maximal mixedness as
     the block grows, with the typicality bound alongside."""
     p = cfg.params
-    n, max_length = int(p["n"]), int(p["max_length"])
+    n, max_length = p["n"], p["max_length"]
     # one-site blocks of homogeneous chains do average to I/2
-    src = _source_from_params(p, n, int(p["chi"]), "I/d" if max_length >= 2 else None)
+    src = _source_from_params(p, n, p["chi"], "I/d" if max_length >= 2 else None)
     if max_length < 1:
         raise ConfigError(f"max_length must be at least 1, got {max_length}")
     if max_length > n:
@@ -214,7 +215,7 @@ def _plan_bound_comparison(cfg: RunConfig) -> Plan:
     """Mean subsystem trace distance against the sqrt(d_s/d_b)
     typicality bound as the bath grows."""
     p = cfg.params
-    specs = _grid(cfg, [_source_from_params(p, 1 + int(b), int(p["chi"]))
+    specs = _grid(cfg, [_source_from_params(p, 1 + b, p["chi"])
                         for b in _axis(p, "bath_sizes")])
 
     def rows(spec):
@@ -247,7 +248,7 @@ def _distance_plan(cfg: RunConfig, sources: list, name: str,
 def _plan_chi_independence(cfg: RunConfig) -> Plan:
     """Average-state distance for small bond dimensions next to the
     full Haar ensemble at the same sample count."""
-    sources = _chi_sources(cfg.params) + [CueSource((2,) * int(cfg.params["n"]))]
+    sources = _chi_sources(cfg.params) + [CueSource((2,) * cfg.params["n"])]
     return _distance_plan(cfg, sources, "chi_independence",
                           ("label", "chi", "distance", "stderr"),
                           lambda src: (f"rmps-chi{src.bond_dim}", src.bond_dim)
@@ -267,9 +268,11 @@ def _plan_distance_vs_chi(cfg: RunConfig) -> Plan:
            {"ns": [2, 3, 4, 5, 6, 7], "ratio": 1, "norm": "trace"}, default_r=300)
 def _plan_linear_chi_scan(cfg: RunConfig) -> Plan:
     """Average-state distance across chain lengths with the bond
-    dimension growing linearly, chi = ratio * n."""
-    ratio = int(cfg.params["ratio"])
-    sources = [RmpsSource(int(n), 2, max(1, ratio * int(n))) for n in _axis(cfg.params, "ns")]
+    dimension growing linearly, chi = ratio * n for a ratio of at least 1."""
+    p = cfg.params
+    if p["ratio"] < 1:
+        raise ConfigError(f"ratio must be at least 1, got {p['ratio']}")
+    sources = [_source_from_params(p, n, p["ratio"] * n) for n in _axis(p, "ns")]
     return _distance_plan(cfg, sources, "linear_chi_scan",
                           ("n", "chi", "distance", "stderr"),
                           lambda src: (src.n_sites, src.bond_dim))
@@ -283,9 +286,9 @@ def _plan_purity_scaling(cfg: RunConfig) -> Plan:
     """Purity of the average state versus sample count, split into the
     1/r term and the overlap cross term."""
     p = cfg.params
-    src = _source_from_params(p, int(p["n"]), int(p["chi"]), "1/d")
+    src = _source_from_params(p, p["n"], p["chi"], "1/d")
     d = ensembles.total_dim(src)
-    specs = [EnsembleSpec(src, int(r), cfg.seed) for r in _axis(p, "r_values")]  # ensembles nest
+    specs = [EnsembleSpec(src, r, cfg.seed) for r in _axis(p, "r_values")]  # ensembles nest
 
     def rows(spec):
         r = spec.r
@@ -304,14 +307,14 @@ def _plan_purity_error(cfg: RunConfig) -> Plan:
     """Relative error of the cross term against the maximally mixed
     purity across chain lengths."""
     p = cfg.params
-    chi = int(p["chi"])
+    chi = p["chi"]
 
     def rows(spec):
         n = spec.source.n_sites
         rep = ensembles.purity_of_average_via_overlaps(spec)
         return [(n, chi, ensembles.purity_relative_error(spec, rep), rep.stderr * 2**n)]
     return _table_plan("purity_relative_error", ("n", "chi", "relative_error", "stderr"),
-                       _grid(cfg, [_source_from_params(p, int(n), chi, "1/d")
+                       _grid(cfg, [_source_from_params(p, n, chi, "1/d")
                                    for n in _axis(p, "ns")]),
                        rows, pairwise=True)
 
@@ -322,8 +325,8 @@ def _plan_purity_error(cfg: RunConfig) -> Plan:
             "homogeneous": False, "boundary": "obc"}, default_r=1000)
 def _plan_q_histogram(cfg: RunConfig) -> Plan:
     p = cfg.params
-    n, bins = int(p["n"]), int(p["bins"])
-    spec = EnsembleSpec(_source_from_params(p, n, int(p["chi"])), cfg.r, cfg.seed)
+    n, bins = p["n"], p["bins"]
+    spec = EnsembleSpec(_source_from_params(p, n, p["chi"]), cfg.r, cfg.seed)
     if bins < 1 or cfg.r < 2:
         raise ConfigError(f"Q statistics need bins >= 1 and r >= 2, got {bins} and {cfg.r}")
 
@@ -344,39 +347,40 @@ def _plan_q_histogram(cfg: RunConfig) -> Plan:
     return Plan([spec], execute)
 
 
-@_register("q-vs-chi",
-           "mean Q vs bond dimension with the exact Haar mean",
-           {"n": 6, "chis": [2, 4, 8, 16, 32]})
-def _plan_q_vs_chi(cfg: RunConfig) -> Plan:
-    exact = dense.cue_global_entanglement(int(cfg.params["n"]))
+def _q_plan(cfg: RunConfig, name: str, columns: tuple[str, ...],
+            row: Callable[..., tuple]) -> Plan:
+    """Q statistics of each chi's ensemble, one row(chi, mean report,
+    stddev report) each."""
     if cfg.r < 2:
         raise ConfigError("Q statistics need at least two samples")
 
     def rows(spec):
-        _, mean_rep, _ = ensembles.q_statistics(spec)
-        return [(spec.source.bond_dim, mean_rep.value, mean_rep.stderr, exact,
-                 abs(mean_rep.value - exact))]
-    return _table_plan("q_vs_chi", ("chi", "q_mean", "stderr", "haar_mean", "abs_deviation"),
-                       _grid(cfg, _chi_sources(cfg.params)), rows)
+        _, mean_rep, std_rep = ensembles.q_statistics(spec)
+        return [row(spec.source.bond_dim, mean_rep, std_rep)]
+    return _table_plan(name, columns, _grid(cfg, _chi_sources(cfg.params)), rows)
+
+
+@_register("q-vs-chi",
+           "mean Q vs bond dimension with the exact Haar mean",
+           {"n": 6, "chis": [2, 4, 8, 16, 32]})
+def _plan_q_vs_chi(cfg: RunConfig) -> Plan:
+    exact = dense.cue_global_entanglement(cfg.params["n"])
+    return _q_plan(cfg, "q_vs_chi", ("chi", "q_mean", "stderr", "haar_mean", "abs_deviation"),
+                   lambda chi, mean, _: (chi, mean.value, mean.stderr, exact,
+                                         abs(mean.value - exact)))
 
 
 @_register("q-stddev",
            "standard deviation of Q vs bond dimension",
            {"n": 6, "chis": [2, 4, 8, 16, 32, 64]})
 def _plan_q_stddev(cfg: RunConfig) -> Plan:
-    if cfg.r < 2:
-        raise ConfigError("Q statistics need at least two samples")
-
-    def rows(spec):
-        _, _, std_rep = ensembles.q_statistics(spec)
-        return [(spec.source.bond_dim, std_rep.value, std_rep.stderr)]
-    return _table_plan("q_stddev_vs_chi", ("chi", "q_stddev", "stderr"),
-                       _grid(cfg, _chi_sources(cfg.params)), rows)
+    return _q_plan(cfg, "q_stddev_vs_chi", ("chi", "q_stddev", "stderr"),
+                   lambda chi, _, std: (chi, std.value, std.stderr))
 
 
 def _qubit_split(p: dict) -> tuple[int, int, int]:
     """(n, d_a, d_b) of an n-qubit chain cut after its leading block of dimension d_a."""
-    n, d_a = int(p["n"]), int(p["d_a"])
+    n, d_a = p["n"], p["d_a"]
     if d_a < 1:
         raise DimensionError(f"d_a must be positive, got {d_a}")
     ensembles._split_length((2,) * n, d_a)  # raises unless d_a names a leading block
@@ -391,7 +395,7 @@ def _plan_moments_vs_chi(cfg: RunConfig) -> Plan:
     bond dimension."""
     p = cfg.params
     n, d_a, d_b = _qubit_split(p)
-    ms = [int(m) for m in _axis(p, "ms")]
+    ms = _axis(p, "ms")
     exact = [dense.cue_purity_moment(m, d_a, d_b) for m in ms]
 
     def rows(spec):
@@ -407,29 +411,26 @@ def _plan_moments_vs_chi(cfg: RunConfig) -> Plan:
            {"n": 6, "d_a": 8, "chis": [2, 4, 8, 16]})
 def _plan_min_eig_vs_chi(cfg: RunConfig) -> Plan:
     """Mean smallest subsystem eigenvalue versus bond dimension, next
-    to the exact Haar mean for the d_a-by-2^n/d_a split.  The plan
-    checks that reference's cap; the run computes it once, before its
-    first draw, and every ensemble is compared against it."""
+    to the exact Haar mean for the d_a-by-2^n/d_a split.  The plan checks
+    that reference's cap; the run computes it once, in its first row
+    before that row's first draw, and compares every ensemble with it."""
     p = cfg.params
     n, d_a, d_b = _qubit_split(p)
     dense.check_min_eig_cap(d_a, d_b)
-    specs = _grid(cfg, _chi_sources(p))
+    reference = functools.cache(lambda: dense.cue_min_eigenvalue(d_a, d_b))
 
-    def execute():
-        ref = dense.cue_min_eigenvalue(d_a, d_b)
-        rows = []
-        for spec in specs:
-            rep = ensembles.min_eig_comparison(spec, d_a, ref)
-            mean = float(rep.per_sample.mean())
-            rows.append((spec.source.bond_dim, mean, rep.stderr, ref, rep.value))
-        return [Table("min_eig_vs_chi",
-                      ("chi", "mean_min_eig", "stderr", "reference", "abs_deviation"),
-                      rows)]
-    return Plan(specs, execute, dense_dim=d_a)
+    def rows(spec):
+        ref = reference()
+        rep = ensembles.min_eig_comparison(spec, d_a, ref)
+        return [(spec.source.bond_dim, float(rep.per_sample.mean()), rep.stderr, ref,
+                 rep.value)]
+    return _table_plan("min_eig_vs_chi",
+                       ("chi", "mean_min_eig", "stderr", "reference", "abs_deviation"),
+                       _grid(cfg, _chi_sources(p)), rows, dense_dim=d_a)
 
 
 def _parse_chi_rule(rule: str) -> Callable[[int], int]:
-    kind, _, arg = str(rule).partition(":")
+    kind, _, arg = rule.partition(":")
     try:
         a = int(arg)
     except ValueError:
@@ -449,22 +450,20 @@ def _plan_concentration_scan(cfg: RunConfig) -> Plan:
     """Sample standard deviation of a one-site expectation value across
     chain lengths under a bond dimension rule."""
     p = cfg.params
-    op = PAULI.get(str(p["op"]).lower())
+    op = PAULI.get(p["op"].lower())
     if op is None:
         raise ConfigError(f"op must be one of {sorted(PAULI)}, got {p['op']!r}")
-    obs = LocalObservable((op,), int(p["site"]))
+    obs = LocalObservable((op,), p["site"])
     rule = _parse_chi_rule(p["chi_rule"])
-    ns = [int(n) for n in _axis(p, "ns")]
+    ns = _axis(p, "ns")
     if cfg.r < 2:
         raise ConfigError(f"a standard deviation needs r >= 2, got {cfg.r}")
     short = [n for n in ns if n < obs.start_site + obs.n_sites]
     if short:
         raise DimensionError(f"observable on site {obs.start_site} does not fit "
                              f"in chains of {short} sites")
-    homogeneous, boundary = bool(p.get("homogeneous", False)), p.get("boundary", "obc")
     # seeded as ensembles.concentration_scan seeds them: length n by subseed(seed, n)
-    specs = _grid(cfg, [RmpsSource(n, 2, rule(n), homogeneous, boundary) for n in ns],
-                  keys=ns)
+    specs = _grid(cfg, [_source_from_params(p, n, rule(n)) for n in ns], keys=ns)
 
     def rows(spec):
         rep = ensembles.concentration(spec, obs)
@@ -481,8 +480,8 @@ def _plan_twirl_compare(cfg: RunConfig) -> Plan:
     """Largest entrywise gap between the Monte Carlo unitary twirl and
     the sum of vectorized-permutation projectors."""
     p = cfg.params
-    n_copies, dim = int(p["n_copies"]), int(p["dim"])
-    r_values = [int(r) for r in _axis(p, "r_values")]
+    n_copies, dim = p["n_copies"], p["dim"]
+    r_values = _axis(p, "r_values")
     if n_copies < 1 or dim < 1 or min(r_values) < 1:
         raise DimensionError(f"n_copies, dim and r_values must be positive, got "
                              f"{n_copies}, {dim}, {r_values}")
@@ -525,8 +524,8 @@ def load_config(path, overrides=(), seed_flag=None, out_flag=None) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(raw, dict) or "experiment" not in raw:
-        raise ConfigError("config must be a JSON object with an 'experiment' key")
+    if not isinstance(raw, dict) or not isinstance(raw.get("experiment"), str):
+        raise ConfigError("config must be a JSON object with a string 'experiment' key")
     unknown = set(raw) - _TOP_LEVEL_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}; "
@@ -559,24 +558,31 @@ def load_config(path, overrides=(), seed_flag=None, out_flag=None) -> RunConfig:
         top["out"] = out_flag
     if top["format"] not in ("csv", "jsonl"):
         raise ConfigError(f"format must be 'csv' or 'jsonl', got {top['format']!r}")
-    try:
-        r = int(top["r"])
-        seed = Seed(int(top["seed"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad r or seed: {exc}")
+    r, seed, out = top["r"], top["seed"], top["out"]
+    if type(r) is not int or type(seed) is not int or not isinstance(out, str):
+        raise ConfigError(f"r and seed must be integers and out a string, "
+                          f"got {r!r}, {seed!r} and {out!r}")
     if r < 1:
         raise ConfigError(f"r must be positive, got {r}")
-    return RunConfig(name, params, r, seed, Path(top["out"]), top["format"])
+    return RunConfig(name, params, r, Seed(seed), Path(out), top["format"])
 
 
 def plan(cfg: RunConfig) -> Plan:
     """Check cfg's params and build every ensemble of the run, drawing
     nothing.  Raises ConfigError or DimensionError (exit code 2), also
-    for a param of the wrong JSON type, or CapExceededError (exit 3)."""
-    try:
-        planned = REGISTRY[cfg.experiment].plan(cfg)
-    except TypeError as exc:
-        raise ConfigError(f"a parameter of {cfg.experiment} has the wrong type: {exc}")
+    for a param whose JSON type differs from its default's, or
+    CapExceededError (exit 3)."""
+    exp = REGISTRY[cfg.experiment]
+    for key, value in cfg.params.items():
+        want = exp.defaults[key]
+        if isinstance(want, list):
+            ok = isinstance(value, list) and all(type(v) is type(want[0]) for v in value)
+        else:
+            ok = type(value) is type(want)  # exact: neither 4.5 nor true is an int
+        if not ok:
+            raise ConfigError(f"parameter {key} of {cfg.experiment} has the wrong type: "
+                              f"{value!r}, where the default is {want!r}")
+    planned = exp.plan(cfg)
     for spec in planned.specs:
         if isinstance(spec.source, CueSource):
             dense.check_amplitude_cap(ensembles.total_dim(spec.source))
@@ -637,14 +643,6 @@ def cost_estimate(cfg: RunConfig) -> str:
 # -- output writing ----------------------------------------------------------
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
-
-
 def _json_cell(v):
     if isinstance(v, (float, np.floating)):
         return float(v)
@@ -654,17 +652,15 @@ def _json_cell(v):
 
 
 def write_table(table: Table, out_dir: Path, fmt: str) -> Path:
+    """Write table as <name>.<fmt>, each cell made a Python int, float or
+    str once; a CSV cell is its str, for a float the round-trip repr."""
+    rows = [[_json_cell(v) for v in row] for row in table.rows]
     if fmt == "csv":
-        path = out_dir / f"{table.name}.csv"
-        lines = [",".join(table.columns)]
-        lines += [",".join(_fmt_cell(v) for v in row) for row in table.rows]
-        path.write_text("\n".join(lines) + "\n")
+        lines = [",".join(table.columns)] + [",".join(map(str, row)) for row in rows]
     else:
-        path = out_dir / f"{table.name}.jsonl"
-        lines = [json.dumps({c: _json_cell(v) for c, v in zip(table.columns, row)},
-                            sort_keys=True)
-                 for row in table.rows]
-        path.write_text("\n".join(lines) + "\n")
+        lines = [json.dumps(dict(zip(table.columns, row)), sort_keys=True) for row in rows]
+    path = out_dir / f"{table.name}.{fmt}"
+    path.write_text("\n".join(lines) + "\n")
     return path
 
 

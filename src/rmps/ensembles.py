@@ -375,9 +375,10 @@ def q_statistics(spec: EnsembleSpec, bins: int = 100
             qs[i] = dense.global_entanglement_from_sites(rhos)
         else:
             qs[i] = dense.global_entanglement(draw_dense(spec, i))
-    # Q lies in [0, 1] exactly; clip the ~1e-16 roundoff excursions so
-    # every sample lands in a bin and the histogram total stays r.
-    counts, edges = np.histogram(np.clip(qs, 0.0, 1.0), bins=bins, range=(0.0, 1.0))
+    # Q lies in [0, 1] exactly; clip the ~1e-16 roundoff excursions once,
+    # so every sample lands in a bin and no statistic leaves [0, 1].
+    np.clip(qs, 0.0, 1.0, out=qs)
+    counts, edges = np.histogram(qs, bins=bins, range=(0.0, 1.0))
     hist = Histogram(edges, counts, int(counts.sum()))
     mean_rep = _mean_report(spec, "q_mean", qs)
     std_rep = EnsembleReport(spec, "q_stddev", float(qs.std(ddof=1)), _stddev_se(qs), qs)

@@ -232,6 +232,18 @@ def test_config_validation_errors(tmp_path):
     assert main(["run", str(unknown_top)]) == 2  # params must nest under "params"
     bad_format = write_cfg(tmp_path, "q-vs-chi", {"format": "xml"}, fname="fmt.json")
     assert main(["run", str(bad_format)]) == 2
+    # a top-level value of the wrong JSON type exits 2 from validate and
+    # from run, before anything is drawn or written
+    for k, bad in enumerate([{"r": 2.9}, {"r": True}, {"seed": True}, {"seed": 1.5},
+                             {"out": 5}, {"experiment": ["q-vs-chi"]}]):
+        out_dir = tmp_path / f"malformed{k}"
+        path = tmp_path / f"malformed{k}.json"
+        path.write_text(json.dumps(dict({"experiment": "q-vs-chi", "r": 20,
+                                         "out": str(out_dir),
+                                         "params": {"n": 3, "chis": [2]}}, **bad)))
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2, (command, bad)
+        assert not out_dir.exists(), bad
 
 
 def test_missing_config_file_is_io_failure(tmp_path):
@@ -304,6 +316,31 @@ def test_jsonl_format(tmp_path):
     assert rows and set(rows[0]) == {"chi", "q_stddev", "stderr"}
 
 
+def test_csv_and_jsonl_hold_the_same_cells(tmp_path):
+    """Every TINY table written as CSV and as JSONL holds the same
+    cells: each JSONL value equals its CSV cell parsed back, integers
+    and labels exactly, and a float's repr is the CSV text."""
+    for name, body in TINY.items():
+        paths = {}
+        for fmt in ("csv", "jsonl"):
+            cfg = write_cfg(tmp_path, name, dict(body, seed=5, format=fmt),
+                            fname=f"{name}-{fmt}.json")
+            out_dir = tmp_path / f"{name}-{fmt}"
+            assert main(["run", str(cfg), "--out", str(out_dir)]) == 0, (name, fmt)
+            paths[fmt] = sorted(out_dir.glob(f"*.{fmt}"))
+        assert [p.stem for p in paths["csv"]] == [p.stem for p in paths["jsonl"]], name
+        for csv_path, jsonl_path in zip(paths["csv"], paths["jsonl"]):
+            header, *rows = (line.split(",") for line in csv_path.read_text().splitlines())
+            records = [json.loads(line) for line in jsonl_path.read_text().splitlines()]
+            assert rows and len(records) == len(rows), csv_path.stem
+            for row, record in zip(rows, records):
+                assert sorted(record) == sorted(header), csv_path.stem
+                for column, text in zip(header, row):
+                    got, want = _cell(text), record[column]
+                    assert type(got) is type(want) and got == want, (name, column, text)
+                    assert not isinstance(want, float) or repr(want) == text
+
+
 def test_csv_floats_round_trip(tmp_path):
     """Every numeric cell is written at full precision: parsing it back and
     re-printing reproduces the byte string."""
@@ -360,6 +397,12 @@ PREFLIGHT = [
     ("q-histogram", {"boundary": "open"}, 2, 2, "boundary must be"),
     ("q-histogram", {"source": "haar"}, 2, 2, "source must be 'rmps' or 'cue'"),
     ("q-vs-chi", {"chis": 4}, 2, 2, "wrong type"),
+    # a param takes its default's JSON type: 4.5 and 1.7 are not truncated
+    # to 4 and 1, and true is not an integer
+    ("moments-vs-chi", {"d_a": 4.5}, 2, 2, "wrong type"),
+    ("concentration-scan", {"site": 1.7}, 2, 2, "wrong type"),
+    ("distance-vs-chi", {"chis": [2, True]}, 2, 2, "wrong type"),
+    ("linear-chi-scan", {"ratio": 0}, 2, 2, "ratio must be at least 1"),
     ("moments-vs-chi", {"n": 4, "d_a": 1}, 2, 2, "leading-block"),
     ("min-eig-vs-chi", {"n": 4, "d_a": 1}, 2, 2, "leading-block"),
     ("concentration-scan", {"r": 1}, 2, 2, "r >= 2"),

@@ -402,6 +402,9 @@ def test_q_statistics_product_states():
     spec = EnsembleSpec(RmpsSource(5, 2, 1), 40, Seed(19))
     hist, mean_rep, std_rep = q_statistics(spec)
     assert np.abs(mean_rep.per_sample).max() < 1e-10
+    # roundoff is clipped before any statistic, so none reads below zero
+    assert mean_rep.value >= 0.0
+    assert mean_rep.per_sample.min() >= 0.0
     assert hist.total == 40
     assert std_rep.value < 1e-10
 
