@@ -13,10 +13,11 @@ Flag overrides win over the file; override keys named r, seed, format
 or out target those fields and any other key lands in params.
 
 run makes the same checks as validate before it draws any sample: each
-param must have its registry default's JSON type, then the experiment's
-plan reads and checks its params, builds every ensemble of its grid and
-runs its range and cap checks.  validate reports the one problem the
-plan stops on.  Plans share their parts: every chain comes from
+param must have its registry default's JSON type, and a list param (a
+grid axis) must not be empty; then the experiment's plan checks its
+own params and builds every ensemble of its grid, each of r >= 2
+samples, and the cap checks run.  validate reports the one problem
+the plan stops on.  Plans share their parts: every chain comes from
 _source_from_params, and a plan with one table is a _table_plan.
 
 Every run writes its data tables plus a manifest.json carrying the
@@ -136,16 +137,8 @@ def _source_from_params(p: dict, n: int, chi: int,
     return RmpsSource(n, 2, chi, homogeneous, p.get("boundary", "obc"))
 
 
-def _axis(p: dict, key: str) -> list:
-    """The grid axis params[key]; an empty one is a config error, so
-    no run writes a table without rows."""
-    if not p[key]:
-        raise ConfigError(f"{key} must not be empty")
-    return p[key]
-
-
 def _chi_sources(p: dict) -> list[RmpsSource]:
-    return [_source_from_params(p, p["n"], chi) for chi in _axis(p, "chis")]
+    return [_source_from_params(p, p["n"], chi) for chi in p["chis"]]
 
 
 def _grid(cfg: RunConfig, sources: list, keys=None) -> list[EnsembleSpec]:
@@ -215,8 +208,9 @@ def _plan_bound_comparison(cfg: RunConfig) -> Plan:
     """Mean subsystem trace distance against the sqrt(d_s/d_b)
     typicality bound as the bath grows."""
     p = cfg.params
-    specs = _grid(cfg, [_source_from_params(p, 1 + b, p["chi"])
-                        for b in _axis(p, "bath_sizes")])
+    if min(p["bath_sizes"]) < 1:
+        raise ConfigError(f"bath_sizes must be at least 1 site, got {p['bath_sizes']}")
+    specs = _grid(cfg, [_source_from_params(p, 1 + b, p["chi"]) for b in p["bath_sizes"]])
 
     def rows(spec):
         n_bath = len(ensembles.source_dims(spec.source)) - 1
@@ -272,7 +266,7 @@ def _plan_linear_chi_scan(cfg: RunConfig) -> Plan:
     p = cfg.params
     if p["ratio"] < 1:
         raise ConfigError(f"ratio must be at least 1, got {p['ratio']}")
-    sources = [_source_from_params(p, n, p["ratio"] * n) for n in _axis(p, "ns")]
+    sources = [_source_from_params(p, n, p["ratio"] * n) for n in p["ns"]]
     return _distance_plan(cfg, sources, "linear_chi_scan",
                           ("n", "chi", "distance", "stderr"),
                           lambda src: (src.n_sites, src.bond_dim))
@@ -288,7 +282,7 @@ def _plan_purity_scaling(cfg: RunConfig) -> Plan:
     p = cfg.params
     src = _source_from_params(p, p["n"], p["chi"], "1/d")
     d = ensembles.total_dim(src)
-    specs = [EnsembleSpec(src, r, cfg.seed) for r in _axis(p, "r_values")]  # ensembles nest
+    specs = [EnsembleSpec(src, r, cfg.seed) for r in p["r_values"]]  # ensembles nest
 
     def rows(spec):
         r = spec.r
@@ -315,7 +309,7 @@ def _plan_purity_error(cfg: RunConfig) -> Plan:
         return [(n, chi, ensembles.purity_relative_error(spec, rep), rep.stderr * 2**n)]
     return _table_plan("purity_relative_error", ("n", "chi", "relative_error", "stderr"),
                        _grid(cfg, [_source_from_params(p, n, chi, "1/d")
-                                   for n in _axis(p, "ns")]),
+                                   for n in p["ns"]]),
                        rows, pairwise=True)
 
 
@@ -327,8 +321,8 @@ def _plan_q_histogram(cfg: RunConfig) -> Plan:
     p = cfg.params
     n, bins = p["n"], p["bins"]
     spec = EnsembleSpec(_source_from_params(p, n, p["chi"]), cfg.r, cfg.seed)
-    if bins < 1 or cfg.r < 2:
-        raise ConfigError(f"Q statistics need bins >= 1 and r >= 2, got {bins} and {cfg.r}")
+    if bins < 1:
+        raise ConfigError(f"Q statistics need bins >= 1, got {bins}")
 
     def execute():
         hist, mean_rep, std_rep = ensembles.q_statistics(spec, bins)
@@ -351,9 +345,6 @@ def _q_plan(cfg: RunConfig, name: str, columns: tuple[str, ...],
             row: Callable[..., tuple]) -> Plan:
     """Q statistics of each chi's ensemble, one row(chi, mean report,
     stddev report) each."""
-    if cfg.r < 2:
-        raise ConfigError("Q statistics need at least two samples")
-
     def rows(spec):
         _, mean_rep, std_rep = ensembles.q_statistics(spec)
         return [row(spec.source.bond_dim, mean_rep, std_rep)]
@@ -395,7 +386,7 @@ def _plan_moments_vs_chi(cfg: RunConfig) -> Plan:
     bond dimension."""
     p = cfg.params
     n, d_a, d_b = _qubit_split(p)
-    ms = _axis(p, "ms")
+    ms = p["ms"]
     exact = [dense.cue_purity_moment(m, d_a, d_b) for m in ms]
 
     def rows(spec):
@@ -455,9 +446,7 @@ def _plan_concentration_scan(cfg: RunConfig) -> Plan:
         raise ConfigError(f"op must be one of {sorted(PAULI)}, got {p['op']!r}")
     obs = LocalObservable((op,), p["site"])
     rule = _parse_chi_rule(p["chi_rule"])
-    ns = _axis(p, "ns")
-    if cfg.r < 2:
-        raise ConfigError(f"a standard deviation needs r >= 2, got {cfg.r}")
+    ns = p["ns"]
     short = [n for n in ns if n < obs.start_site + obs.n_sites]
     if short:
         raise DimensionError(f"observable on site {obs.start_site} does not fit "
@@ -481,7 +470,7 @@ def _plan_twirl_compare(cfg: RunConfig) -> Plan:
     the sum of vectorized-permutation projectors."""
     p = cfg.params
     n_copies, dim = p["n_copies"], p["dim"]
-    r_values = _axis(p, "r_values")
+    r_values = p["r_values"]
     if n_copies < 1 or dim < 1 or min(r_values) < 1:
         raise DimensionError(f"n_copies, dim and r_values must be positive, got "
                              f"{n_copies}, {dim}, {r_values}")
@@ -569,9 +558,10 @@ def load_config(path, overrides=(), seed_flag=None, out_flag=None) -> RunConfig:
 
 def plan(cfg: RunConfig) -> Plan:
     """Check cfg's params and build every ensemble of the run, drawing
-    nothing.  Raises ConfigError or DimensionError (exit code 2), also
-    for a param whose JSON type differs from its default's, or
-    CapExceededError (exit 3)."""
+    nothing; raise ConfigError or DimensionError (exit 2) or
+    CapExceededError (exit 3).  The rules all entries share hold here:
+    a param has its default's JSON type, a list param (a grid axis) is
+    not empty, and every planned ensemble has r >= 2 samples."""
     exp = REGISTRY[cfg.experiment]
     for key, value in cfg.params.items():
         want = exp.defaults[key]
@@ -582,8 +572,12 @@ def plan(cfg: RunConfig) -> Plan:
         if not ok:
             raise ConfigError(f"parameter {key} of {cfg.experiment} has the wrong type: "
                               f"{value!r}, where the default is {want!r}")
+        if value == []:  # no run writes a table without rows
+            raise ConfigError(f"{key} must not be empty")
     planned = exp.plan(cfg)
     for spec in planned.specs:
+        if spec.r < 2:
+            raise ConfigError(f"an ensemble needs r >= 2 samples, got {spec.r}")
         if isinstance(spec.source, CueSource):
             dense.check_amplitude_cap(ensembles.total_dim(spec.source))
     dense.check_density_cap(planned.dense_dim)

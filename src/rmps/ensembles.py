@@ -18,7 +18,10 @@ the fourth-moment delta formula for reported standard deviations.
 Each kind of sample has one draw loop.  The dense-state estimators
 read the r x d amplitudes of `_dense_states`; the leading-block ones
 (distance to I/d, moments, smallest eigenvalue) read the r x d_A
-ascending spectra of `_block_spectra`, each solved once.
+ascending spectra of `_block_spectra`, each solved once.  A report of
+per-sample values is built once, and frozen, by one of two builders:
+`_mean_report` (the mean, or its distance from an exact reference) and
+`_spread_report` (the sample standard deviation).
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ class EnsembleSpec:
         object.__setattr__(self, "master_seed", as_seed(self.master_seed))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnsembleReport:
     """Result of one ensemble estimator."""
 
@@ -151,23 +154,28 @@ def draw_dense(spec: EnsembleSpec, index: int) -> DenseState:
 # -- uncertainty helpers ----------------------------------------------------
 
 
-def _mean_report(spec, name, values) -> EnsembleReport:
-    values = np.asarray(values, dtype=float)
+def _mean_report(spec, name, values, reference=None) -> EnsembleReport:
+    """The mean of the per-sample values, or its distance from
+    ``reference`` when one is given, with the stderr of the mean."""
     se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-    return EnsembleReport(spec, name, float(values.mean()), se, values)
+    mean = float(values.mean())
+    return EnsembleReport(spec, name, mean if reference is None else abs(mean - reference),
+                          se, values)
+
+
+def _spread_report(spec, name, values) -> EnsembleReport:
+    """The sample standard deviation of the per-sample values, with its
+    delta-method stderr."""
+    return EnsembleReport(spec, name, float(values.std(ddof=1)), _stddev_se(values), values)
 
 
 def _jackknife_se(values: np.ndarray) -> float:
-    values = np.asarray(values, dtype=float)
     r = values.size
-    if r < 2:
-        return 0.0
     return float(math.sqrt((r - 1) / r * np.sum((values - values.mean()) ** 2)))
 
 
 def _stddev_se(values: np.ndarray) -> float:
     """Delta-method standard error of the sample standard deviation."""
-    values = np.asarray(values, dtype=float)
     r = values.size
     s = float(values.std(ddof=1))
     if s == 0.0:
@@ -261,7 +269,9 @@ def _reduced(spec: EnsembleSpec, index: int, length: int) -> DensityMatrix:
 def _block_spectra(spec: EnsembleSpec, length: int) -> np.ndarray:
     """The r x d_A ascending spectra of the samples' reduced states on
     the first ``length`` sites: the eigenvalues that validated each."""
-    spectra = np.empty((spec.r, math.prod(source_dims(spec.source)[:length])))
+    d_a = math.prod(source_dims(spec.source)[:length])
+    dense.check_density_cap(d_a)
+    spectra = np.empty((spec.r, d_a))
     for i in range(spec.r):
         spectra[i] = _reduced(spec, i, length).spectrum
     return spectra
@@ -380,9 +390,7 @@ def q_statistics(spec: EnsembleSpec, bins: int = 100
     np.clip(qs, 0.0, 1.0, out=qs)
     counts, edges = np.histogram(qs, bins=bins, range=(0.0, 1.0))
     hist = Histogram(edges, counts, int(counts.sum()))
-    mean_rep = _mean_report(spec, "q_mean", qs)
-    std_rep = EnsembleReport(spec, "q_stddev", float(qs.std(ddof=1)), _stddev_se(qs), qs)
-    return hist, mean_rep, std_rep
+    return hist, _mean_report(spec, "q_mean", qs), _spread_report(spec, "q_stddev", qs)
 
 
 def _split_length(dims: tuple[int, ...], d_a: int) -> int:
@@ -428,13 +436,9 @@ def moment_comparisons(spec: EnsembleSpec, d_a: int,
         raise ValueError("moment_comparisons needs at least one moment order")
     exact = [dense.cue_purity_moment(m, d_a, d_b) for m in ms]
     spectra = _block_spectra(spec, length)
-    reports = []
-    for m, ref in zip(ms, exact):
-        rep = _mean_report(spec, f"moment_deviation[m={m},d_a={d_a}]",
-                           np.sum(spectra**m, axis=1))
-        rep.value = abs(rep.value - ref)
-        reports.append(rep)
-    return reports
+    return [_mean_report(spec, f"moment_deviation[m={m},d_a={d_a}]",
+                         np.sum(spectra**m, axis=1), ref)
+            for m, ref in zip(ms, exact)]
 
 
 def min_eig_comparison(spec: EnsembleSpec, d_a: int,
@@ -453,9 +457,7 @@ def min_eig_comparison(spec: EnsembleSpec, d_a: int,
     if exact is None:
         exact = dense.cue_min_eigenvalue(d_a, total_dim(spec.source) // d_a)
     vals = dense.clamp_roundoff(_block_spectra(spec, length)[:, 0])
-    rep = _mean_report(spec, f"min_eig_deviation[d_a={d_a}]", vals)
-    rep.value = abs(rep.value - exact)
-    return rep
+    return _mean_report(spec, f"min_eig_deviation[d_a={d_a}]", vals, exact)
 
 
 def concentration(spec: EnsembleSpec, observable: LocalObservable) -> EnsembleReport:
@@ -475,14 +477,12 @@ def concentration(spec: EnsembleSpec, observable: LocalObservable) -> EnsembleRe
     vals = np.empty(spec.r)
     for i in range(spec.r):
         vals[i] = draw_mps(spec, i).expectation(observable)
-    return EnsembleReport(spec, f"concentration[n={src.n_sites},chi={src.bond_dim}]",
-                          float(vals.std(ddof=1)), _stddev_se(vals), vals)
+    return _spread_report(spec, f"concentration[n={src.n_sites},chi={src.bond_dim}]", vals)
 
 
 def concentration_scan(observable: LocalObservable,
                        chi_rule: Callable[[int], int] | Mapping[int, int],
-                       n_values: Sequence[int], r: int, seed: Seed | int,
-                       homogeneous: bool = False, boundary: str = "obc"
+                       n_values: Sequence[int], r: int, seed: Seed | int
                        ) -> list[EnsembleReport]:
     """Spread of a local expectation value across chain lengths.
 
@@ -491,8 +491,6 @@ def concentration_scan(observable: LocalObservable,
     its concentration report is computed.
     """
     rule = chi_rule if callable(chi_rule) else chi_rule.__getitem__
-    seed = as_seed(seed)
-    return [concentration(EnsembleSpec(
-                RmpsSource(n, observable.phys_dim, int(rule(n)), homogeneous, boundary),
-                r, subseed(seed, n)), observable)
+    return [concentration(EnsembleSpec(RmpsSource(n, observable.phys_dim, int(rule(n))),
+                                       r, subseed(seed, n)), observable)
             for n in n_values]

@@ -406,6 +406,21 @@ PREFLIGHT = [
     ("moments-vs-chi", {"n": 4, "d_a": 1}, 2, 2, "leading-block"),
     ("min-eig-vs-chi", {"n": 4, "d_a": 1}, 2, 2, "leading-block"),
     ("concentration-scan", {"r": 1}, 2, 2, "r >= 2"),
+    # every planned ensemble needs two samples for its error bar
+    ("purity-scaling", {"r_values": [50, 1]}, 2, 2, "r >= 2"),
+    ("purity-error", {"r": 1}, 2, 2, "r >= 2"),
+    ("subsystem-convergence", {"r": 1}, 2, 2, "r >= 2"),
+    ("bound-comparison", {"r": 1}, 2, 2, "r >= 2"),
+    ("chi-independence", {"r": 1}, 2, 2, "r >= 2"),
+    ("distance-vs-chi", {"r": 1}, 2, 2, "r >= 2"),
+    ("linear-chi-scan", {"r": 1}, 2, 2, "r >= 2"),
+    ("moments-vs-chi", {"r": 1}, 2, 2, "r >= 2"),
+    ("min-eig-vs-chi", {"r": 1}, 2, 2, "r >= 2"),
+    ("avg-state-convergence", {"r": 1}, 2, 2, "r >= 2"),
+    ("q-histogram", {"r": 1}, 2, 2, "r >= 2"),
+    ("q-vs-chi", {"r": 1}, 2, 2, "r >= 2"),
+    ("q-stddev", {"r": 1}, 2, 2, "r >= 2"),
+    ("bound-comparison", {"bath_sizes": [0]}, 2, 2, "bath_sizes"),
     # homogeneous chains do not average to I/d, so the plans that compare
     # against I/d or 1/d on two or more sites reject them; a one-site
     # block and the plans with no mixed reference accept them
@@ -512,6 +527,15 @@ def test_min_eig_reference_computed_once_per_run(tmp_path, monkeypatch):
     rows = (out_dir / "min_eig_vs_chi.csv").read_text().splitlines()[1:]
     assert len(rows) == 4
     assert all(float(row.split(",")[3]) == exact(4, 8) for row in rows)
+
+
+def test_min_eig_reference_not_computed_for_one_sample(tmp_path, monkeypatch):
+    """A run the plan rejects never reaches the exact reference."""
+    calls = []
+    monkeypatch.setattr(dense, "cue_min_eigenvalue", lambda *a: calls.append(a))
+    cfg = write_cfg(tmp_path, "min-eig-vs-chi", {"r": 1})
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert calls == []
 
 
 def test_cost_estimate_counts_monte_carlo_twirl(tmp_path):

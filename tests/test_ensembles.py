@@ -1,5 +1,7 @@
 """Tests for the ensemble statistics layer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from rmps.ensembles import (
     subsystem_distance_stats,
     total_dim,
 )
-from rmps.errors import DimensionError
+from rmps.errors import CapExceededError, DimensionError
 from rmps.haar import Seed, as_seed, subseed
 from rmps.mps import LocalObservable, overlap, sample_rmps
 
@@ -530,6 +532,31 @@ def test_estimators_draw_each_sample_at_most_once(monkeypatch, estimator, draws)
         with pytest.raises(ValueError):
             estimator(spec)
         assert calls == []
+
+
+@pytest.mark.parametrize("source", [RmpsSource(12, 2, 2), CueSource((2,) * 12)],
+                         ids=["rmps", "cue"])
+@pytest.mark.parametrize("estimator", [
+    lambda spec: subsystem_distance_stats(spec, 11),
+    lambda spec: moment_comparisons(spec, 2**11, [2]),
+    lambda spec: min_eig_comparison(spec, 2**11, 0.0),
+], ids=["subsystem_distance", "moments", "min_eig"])
+def test_block_estimators_check_the_cap_before_drawing(monkeypatch, source, estimator):
+    """A leading block beyond the density-matrix cap raises
+    CapExceededError before the first sample is drawn."""
+    calls = []
+    for fn in ("draw_mps", "draw_dense"):
+        monkeypatch.setattr(ensembles, fn, lambda *a, fn=fn: calls.append(fn))
+    with pytest.raises(CapExceededError):
+        estimator(EnsembleSpec(source, 3, Seed(0)))
+    assert calls == []
+
+
+def test_reports_are_frozen():
+    """An estimator builds its report once; no field can be edited after."""
+    rep = moment_comparison(EnsembleSpec(RmpsSource(4, 2, 2), 5, Seed(0)), 4, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.value = 0.0
 
 
 def test_reduced_state_spectra_are_solved_once(monkeypatch):
