@@ -16,9 +16,10 @@ run makes the same checks as validate before it draws any sample: each
 param must have its registry default's JSON type, and a list param (a
 grid axis) must not be empty; then the experiment's plan checks its
 own params and builds every ensemble of its grid, each of r >= 2
-samples, and the cap checks run.  validate reports the one problem
-the plan stops on.  Plans share their parts: every chain comes from
-_source_from_params, and a plan with one table is a _table_plan.
+samples (r >= 3 under a jackknife), and the cap checks run.  validate
+reports the one problem the plan stops on.  Plans share their parts:
+every chain comes from _source_from_params, and a plan with one table
+is a _table_plan.
 
 Every run writes its data tables plus a manifest.json carrying the
 resolved config, per-file sha256 checksums and wall time; the manifest
@@ -83,13 +84,15 @@ class Plan:
     """A run worked out and checked before its first draw: every
     ensemble it draws, the linear dimension of the largest dense matrix
     it holds (0 for none), whether its estimator sweeps all r(r-1)/2
-    sample pairs, the work units it spends outside its ensembles, and
-    ``execute``, which draws and returns the tables."""
+    sample pairs, whether its error bars are leave-one-out jackknifes,
+    the work units it spends outside its ensembles, and ``execute``,
+    which draws and returns the tables."""
 
     specs: list[EnsembleSpec]
     execute: Callable[[], list[Table]]
     dense_dim: int = 0
     pairwise: bool = False
+    jackknife: bool = False
     extra_units: int = 0
 
 
@@ -232,7 +235,7 @@ def _distance_plan(cfg: RunConfig, sources: list, name: str,
     def rows(spec):
         rep = ensembles.average_state_distance(spec, norm)
         return [label(spec.source) + (rep.value, rep.stderr)]
-    return _table_plan(name, columns, _grid(cfg, sources), rows,
+    return _table_plan(name, columns, _grid(cfg, sources), rows, jackknife=True,
                        dense_dim=max(map(ensembles.total_dim, sources), default=0))
 
 
@@ -290,7 +293,7 @@ def _plan_purity_scaling(cfg: RunConfig) -> Plan:
         return [(r, rep.value, rep.value + 1.0 / r, rep.stderr, 1.0 / r + 1.0 / d)]
     return _table_plan("purity_vs_r",
                        ("r", "cross_term", "purity", "stderr_cross", "mixed_floor"),
-                       specs, rows, pairwise=True)
+                       specs, rows, pairwise=True, jackknife=True)
 
 
 @_register("purity-error",
@@ -310,7 +313,7 @@ def _plan_purity_error(cfg: RunConfig) -> Plan:
     return _table_plan("purity_relative_error", ("n", "chi", "relative_error", "stderr"),
                        _grid(cfg, [_source_from_params(p, n, chi, "1/d")
                                    for n in p["ns"]]),
-                       rows, pairwise=True)
+                       rows, pairwise=True, jackknife=True)
 
 
 @_register("q-histogram",
@@ -326,10 +329,7 @@ def _plan_q_histogram(cfg: RunConfig) -> Plan:
 
     def execute():
         hist, mean_rep, std_rep = ensembles.q_statistics(spec, bins)
-        hist_rows = [
-            (float(hist.bin_edges[i]), float(hist.bin_edges[i + 1]), int(hist.counts[i]))
-            for i in range(hist.counts.size)
-        ]
+        hist_rows = list(zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts))
         stats_rows = [(mean_rep.value, mean_rep.stderr, std_rep.value, std_rep.stderr,
                        dense.cue_global_entanglement(n))]
         return [
@@ -372,8 +372,6 @@ def _plan_q_stddev(cfg: RunConfig) -> Plan:
 def _qubit_split(p: dict) -> tuple[int, int, int]:
     """(n, d_a, d_b) of an n-qubit chain cut after its leading block of dimension d_a."""
     n, d_a = p["n"], p["d_a"]
-    if d_a < 1:
-        raise DimensionError(f"d_a must be positive, got {d_a}")
     ensembles._split_length((2,) * n, d_a)  # raises unless d_a names a leading block
     return n, d_a, 2**n // d_a
 
@@ -413,8 +411,7 @@ def _plan_min_eig_vs_chi(cfg: RunConfig) -> Plan:
     def rows(spec):
         ref = reference()
         rep = ensembles.min_eig_comparison(spec, d_a, ref)
-        return [(spec.source.bond_dim, float(rep.per_sample.mean()), rep.stderr, ref,
-                 rep.value)]
+        return [(spec.source.bond_dim, rep.per_sample.mean(), rep.stderr, ref, rep.value)]
     return _table_plan("min_eig_vs_chi",
                        ("chi", "mean_min_eig", "stderr", "reference", "abs_deviation"),
                        _grid(cfg, _chi_sources(p)), rows, dense_dim=d_a)
@@ -447,17 +444,15 @@ def _plan_concentration_scan(cfg: RunConfig) -> Plan:
     obs = LocalObservable((op,), p["site"])
     rule = _parse_chi_rule(p["chi_rule"])
     ns = p["ns"]
-    short = [n for n in ns if n < obs.start_site + obs.n_sites]
-    if short:
-        raise DimensionError(f"observable on site {obs.start_site} does not fit "
-                             f"in chains of {short} sites")
+    for n in ns:
+        obs.check_fits(n, 2)
     # seeded as ensembles.concentration_scan seeds them: length n by subseed(seed, n)
     specs = _grid(cfg, [_source_from_params(p, n, rule(n)) for n in ns], keys=ns)
 
     def rows(spec):
         rep = ensembles.concentration(spec, obs)
         return [(spec.source.n_sites, spec.source.bond_dim, rep.value, rep.stderr,
-                 float(rep.per_sample.mean()))]
+                 rep.per_sample.mean())]
     return _table_plan("concentration", ("n", "chi", "stddev_f", "stderr_stddev", "mean_f"),
                        specs, rows)
 
@@ -480,8 +475,7 @@ def _plan_twirl_compare(cfg: RunConfig) -> Plan:
         rows = []
         for r in r_values:
             mc = dense.haar_twirl_monte_carlo(n_copies, dim, r, cfg.seed)
-            dev = float(np.abs(mc - perm).max())
-            rows.append((n_copies, dim, r, dev, 5.0 / np.sqrt(r)))
+            rows.append((n_copies, dim, r, np.abs(mc - perm).max(), 5.0 / np.sqrt(r)))
         return [Table("twirl_compare",
                       ("n_copies", "dim", "r", "max_abs_deviation", "mc_noise_scale"),
                       rows)]
@@ -561,7 +555,8 @@ def plan(cfg: RunConfig) -> Plan:
     nothing; raise ConfigError or DimensionError (exit 2) or
     CapExceededError (exit 3).  The rules all entries share hold here:
     a param has its default's JSON type, a list param (a grid axis) is
-    not empty, and every planned ensemble has r >= 2 samples."""
+    not empty, and every planned ensemble has r >= 2 samples (r >= 3
+    under a jackknife, so that each leave-one-out set keeps two)."""
     exp = REGISTRY[cfg.experiment]
     for key, value in cfg.params.items():
         want = exp.defaults[key]
@@ -575,9 +570,12 @@ def plan(cfg: RunConfig) -> Plan:
         if value == []:  # no run writes a table without rows
             raise ConfigError(f"{key} must not be empty")
     planned = exp.plan(cfg)
+    least = min((spec.r for spec in planned.specs), default=2)
+    if least < 2:
+        raise ConfigError(f"an ensemble needs r >= 2 samples, got {least}")
+    if planned.jackknife and least < 3:
+        raise ConfigError(f"a jackknife error bar needs r >= 3 samples, got {least}")
     for spec in planned.specs:
-        if spec.r < 2:
-            raise ConfigError(f"an ensemble needs r >= 2 samples, got {spec.r}")
         if isinstance(spec.source, CueSource):
             dense.check_amplitude_cap(ensembles.total_dim(spec.source))
     dense.check_density_cap(planned.dense_dim)

@@ -21,7 +21,9 @@ read the r x d amplitudes of `_dense_states`; the leading-block ones
 ascending spectra of `_block_spectra`, each solved once.  A report of
 per-sample values is built once, and frozen, by one of two builders:
 `_mean_report` (the mean, or its distance from an exact reference) and
-`_spread_report` (the sample standard deviation).
+`_spread_report` (the sample standard deviation).  A source checks its
+boundary against mps.BOUNDARIES and its CUE site dimensions through
+dense._validated_dims; `_split_length` owns the leading-block split.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from . import dense
 from .dense import DenseState, DensityMatrix
 from .errors import DimensionError
 from .haar import Seed, as_seed, subseed
-from .mps import LocalObservable, Mps, _Stack, sample_rmps
+from .mps import BOUNDARIES, LocalObservable, Mps, _Stack, sample_rmps
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,8 @@ class RmpsSource:
     def __post_init__(self) -> None:
         if self.n_sites < 1 or self.phys_dim < 1 or self.bond_dim < 1:
             raise DimensionError(f"invalid source dimensions: {self}")
-        if self.boundary not in ("obc", "pbc"):
-            raise ValueError(f"boundary must be 'obc' or 'pbc', got {self.boundary!r}")
+        if self.boundary not in BOUNDARIES:
+            raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,7 @@ class CueSource:
     site_dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.site_dims)
-        if len(dims) == 0 or any(d < 1 for d in dims):
-            raise DimensionError(f"site dims must be positive integers, got {dims}")
-        object.__setattr__(self, "site_dims", dims)
+        object.__setattr__(self, "site_dims", dense._validated_dims(self.site_dims))
 
 
 Source = RmpsSource | CueSource
@@ -395,6 +394,8 @@ def q_statistics(spec: EnsembleSpec, bins: int = 100
 
 def _split_length(dims: tuple[int, ...], d_a: int) -> int:
     """Number of leading sites whose dimensions multiply to d_a."""
+    if d_a < 1:
+        raise DimensionError(f"d_a must be positive, got {d_a}")
     prod = 1
     for k, d in enumerate(dims):
         prod *= d
@@ -467,11 +468,7 @@ def concentration(spec: EnsembleSpec, observable: LocalObservable) -> EnsembleRe
     src = spec.source
     if not isinstance(src, RmpsSource):
         raise TypeError("concentration needs a matrix product state source")
-    if observable.phys_dim != src.phys_dim:
-        raise DimensionError(f"observable dimension {observable.phys_dim} "
-                             f"!= physical dimension {src.phys_dim}")
-    if observable.start_site + observable.n_sites > src.n_sites:
-        raise DimensionError(f"observable does not fit in a chain of {src.n_sites} sites")
+    observable.check_fits(src.n_sites, src.phys_dim)
     if spec.r < 2:
         raise ValueError("a standard deviation needs at least two samples")
     vals = np.empty(spec.r)

@@ -32,7 +32,9 @@ Contractions never build the full chi^2 x chi^2 transfer matrices
 except in the two functions that expose them; a sweep costs
 O(N D chi^3) per pair on open chains and O(N D chi^5) on rings.  The
 one-site reduced states of a chain close between their environments
-all at once, in three matrix products batched over the sites.
+all at once, in three matrix products batched over the sites, reading
+the environments in the layout the sweep leaves them in.  BOUNDARIES and
+LocalObservable.check_fits own the closure and observable-fit rules.
 """
 
 from __future__ import annotations
@@ -83,6 +85,14 @@ class LocalObservable:
     @property
     def n_sites(self) -> int:
         return len(self.site_ops)
+
+    def check_fits(self, n_sites: int, phys_dim: int) -> None:
+        """Raise DimensionError unless the block fits n_sites sites of dimension phys_dim."""
+        stop = self.start_site + self.n_sites
+        if self.phys_dim != phys_dim or stop > n_sites:
+            raise DimensionError(f"observable of dimension {self.phys_dim} on sites "
+                                 f"[{self.start_site}, {stop}) does not fit in {n_sites} "
+                                 f"sites of dimension {phys_dim}")
 
 
 class Mps:
@@ -155,13 +165,7 @@ class Mps:
         block and divided by <psi|psi>; the roundoff-level imaginary
         part of the Hermitian expectation is discarded.
         """
-        if obs.phys_dim != self.phys_dim:
-            raise DimensionError(
-                f"observable dimension {obs.phys_dim} != physical dimension {self.phys_dim}")
-        if obs.start_site + obs.n_sites > self.n_sites:
-            raise DimensionError(
-                f"observable on sites [{obs.start_site}, {obs.start_site + obs.n_sites}) "
-                f"does not fit in {self.n_sites} sites")
+        obs.check_fits(self.n_sites, self.phys_dim)
         one = _Stack.one(self)
         norm_sq = _gram(one, one)[0, 0].real
         if norm_sq <= 0.0:
@@ -269,7 +273,7 @@ def sample_rmps(n_sites: int, phys_dim: int, bond_dim: int, seed: Seed | int,
         left[0] = 1.0
         right = haar_state(bond_dim, rekey(rng, subseed(seed, n_sites)))
         return Mps(tensors, "obc", left, right, homogeneous=homogeneous)
-    return Mps(tensors, "pbc", homogeneous=homogeneous)
+    return Mps(tensors, boundary, homogeneous=homogeneous)
 
 
 def _site_tensors(n_sets: int, phys_dim: int, bond_dim: int, seed: Seed,
@@ -441,7 +445,7 @@ def _environments(mps: Mps, n_left: int, n_right: int
                   ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Left environments of <mps|mps> over its first n_left sites and
     right ones over its last n_right, boundary first, each in the
-    [a, c, s] layout of _open_sites.
+    sweep's [ket bond, s, bra bond] layout that _open_sites reads.
 
     A left environment is the same sweep on transposed site matrices.
     Every step absorbs the ket first, whatever the site's parity: one
@@ -454,7 +458,7 @@ def _environments(mps: Mps, n_left: int, n_right: int
         envs = [env]
         for t in sites:
             envs.append(_gram_step(t.conj(), envs[-1].transpose(1, 0, 4, 3, 2), t))
-        return [env[0, 0].transpose(0, 2, 1) for env in envs]
+        return [env[0, 0] for env in envs]
     one = _Stack.one(mps)
     left, right = _boundary(one, one)
     return (sweep(left, [t.swapaxes(-1, -2) for t in one.tensors[:n_left]]),
@@ -464,14 +468,14 @@ def _environments(mps: Mps, n_left: int, n_right: int
 def _open_sites(lefts: np.ndarray, kets: np.ndarray, rights: np.ndarray) -> np.ndarray:
     """Close sites (or blocks) stacked on a leading axis n between their
     environments, with the physical indices open:
-    rho[n, I, J] = sum lefts[n, a, c, s] kets[n, I, a, b] rights[n, b, d, s]
+    rho[n, I, J] = sum lefts[n, a, s, c] kets[n, I, a, b] rights[n, b, s, d]
     conj(kets[n, J, c, d]), in three products batched over n.
     """
     n, d, chi, _ = kets.shape
-    s = rights.shape[-1]
-    t = np.matmul(kets, rights.reshape(n, 1, chi, chi * s))
+    s = rights.shape[-2]
+    t = np.matmul(kets, rights.swapaxes(-1, -2).reshape(n, 1, chi, chi * s))
     t = t.reshape(n, d, chi, chi, s).transpose(0, 1, 3, 2, 4).reshape(n, d * chi, chi * s)
-    t = np.matmul(t, lefts.transpose(0, 1, 3, 2).reshape(n, chi * s, chi))
+    t = np.matmul(t, lefts.reshape(n, chi * s, chi))
     t = t.reshape(n, d, chi, chi).transpose(0, 1, 3, 2).reshape(n, d, chi * chi)
     return np.matmul(t, kets.conj().reshape(n, d, chi * chi).swapaxes(-1, -2))
 

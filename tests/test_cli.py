@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from rmps import dense, ensembles
-from rmps.cli import PAULI, REGISTRY, cost_estimate, load_config, main, validate_config
-from rmps.mps import LocalObservable
+from rmps.cli import PAULI, REGISTRY, cost_estimate, load_config, main, plan, validate_config
+from rmps.errors import DimensionError
+from rmps.mps import LocalObservable, sample_rmps
 
 # Small parameter sets that exercise every registered experiment quickly.
 TINY = {
@@ -421,6 +422,12 @@ PREFLIGHT = [
     ("q-vs-chi", {"r": 1}, 2, 2, "r >= 2"),
     ("q-stddev", {"r": 1}, 2, 2, "r >= 2"),
     ("bound-comparison", {"bath_sizes": [0]}, 2, 2, "bath_sizes"),
+    # a leave-one-out jackknife of two samples leaves one, with no spread
+    ("chi-independence", {"r": 2}, 2, 2, "r >= 3"),
+    ("distance-vs-chi", {"r": 2}, 2, 2, "r >= 3"),
+    ("linear-chi-scan", {"r": 2}, 2, 2, "r >= 3"),
+    ("purity-error", {"r": 2}, 2, 2, "r >= 3"),
+    ("purity-scaling", {"r_values": [50, 2]}, 2, 2, "r >= 3"),
     # homogeneous chains do not average to I/d, so the plans that compare
     # against I/d or 1/d on two or more sites reject them; a one-site
     # block and the plans with no mixed reference accept them
@@ -460,6 +467,37 @@ def test_run_and_validate_share_one_preflight(tmp_path, monkeypatch):
             assert error in manifest["error"], (case, manifest["error"])
         else:
             assert draws and manifest["status"] == "ok", case
+
+
+@pytest.mark.parametrize("op, site, fits", [
+    (np.eye(3), 0, False),
+    (PAULI["z"], 4, False),
+    (PAULI["z"], 3, True),
+], ids=["qutrit", "past_last_site", "exact_fit"])
+def test_observable_fit_is_checked_by_every_caller(tmp_path, monkeypatch, op, site, fits):
+    """A one-site observable on a 4-site qubit chain: a qutrit operator
+    and a site past the last one raise DimensionError from the state,
+    the ensemble estimator and the concentration-scan plan, with no
+    draw; the last site fits all three."""
+    draws = []
+    monkeypatch.setattr(ensembles, "draw_mps",
+                        lambda *a, draw=ensembles.draw_mps: draws.append(a) or draw(*a))
+    monkeypatch.setitem(PAULI, "t", op)
+    obs = LocalObservable((op,), site)
+    state = sample_rmps(4, 2, 2, 0)
+    spec = ensembles.EnsembleSpec(ensembles.RmpsSource(4, 2, 2), 3, 0)
+    cfg = load_config(write_cfg(tmp_path, "concentration-scan",
+                                {"r": 3, "params": {"op": "t", "site": site, "ns": [4],
+                                                    "chi_rule": "const:2"}}))
+    callers = [lambda: state.expectation(obs), lambda: ensembles.concentration(spec, obs),
+               lambda: plan(cfg)]
+    for call in callers:
+        if fits:
+            call()
+        else:
+            with pytest.raises(DimensionError, match="does not fit"):
+                call()
+    assert len(draws) == (3 if fits else 0)
 
 
 def test_cost_estimate_sums_planned_grid(tmp_path):

@@ -552,6 +552,22 @@ def test_block_estimators_check_the_cap_before_drawing(monkeypatch, source, esti
     assert calls == []
 
 
+@pytest.mark.parametrize("d_a", [0, -2])
+@pytest.mark.parametrize("estimator", [
+    lambda spec, d_a: moment_comparisons(spec, d_a, [2]),
+    lambda spec, d_a: min_eig_comparison(spec, d_a),
+], ids=["moments", "min_eig"])
+def test_block_split_rejects_nonpositive_d_a(monkeypatch, estimator, d_a):
+    """A leading block of dimension below 1 is named as such before the
+    first draw."""
+    calls = []
+    for fn in ("draw_mps", "draw_dense"):
+        monkeypatch.setattr(ensembles, fn, lambda *a, fn=fn: calls.append(fn))
+    with pytest.raises(DimensionError, match="d_a must be positive"):
+        estimator(EnsembleSpec(RmpsSource(4, 2, 2), 3, Seed(0)), d_a)
+    assert calls == []
+
+
 def test_reports_are_frozen():
     """An estimator builds its report once; no field can be edited after."""
     rep = moment_comparison(EnsembleSpec(RmpsSource(4, 2, 2), 5, Seed(0)), 4, 2)

@@ -165,6 +165,12 @@ def test_sample_rmps_pbc():
     assert m.norm_squared() > 0.0
 
 
+def test_sample_rmps_rejects_an_unknown_boundary():
+    """Only the names in BOUNDARIES close a chain; any other is not a ring."""
+    with pytest.raises(ValueError, match="boundary must be"):
+        sample_rmps(3, 2, 2, 0, boundary="open")
+
+
 def test_sampled_states_are_isometric():
     for i in range(8):
         m = sample_rmps(3 + i % 4, 2, 1 + i % 5, subseed(9, i),
