@@ -24,8 +24,10 @@ is a _table_plan.
 Every run writes its data tables plus a manifest.json carrying the
 resolved config, per-file sha256 checksums and wall time; the manifest
 is written even when the run fails.  Sampling is derived per sample
-index from the master seed, so table bytes are reproducible and
-independent of the --workers value.
+index from the master seed, so table bytes are reproducible.  A run is
+one process: --workers is checked and otherwise ignored, and the
+estimators draw matrix product states in chunks sized by fixed
+constants (ensembles._chunks), never derived from it.
 
 Exit codes: 0 success, 2 invalid config or parameters, 3 a size cap
 would be exceeded, 4 output I/O failure.

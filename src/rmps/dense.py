@@ -114,21 +114,30 @@ class DensityMatrix:
         d = math.prod(dims)
         if mat.shape != (d, d):
             raise DimensionError(f"matrix shape {mat.shape} does not match dims {dims}")
-        if np.abs(mat - mat.conj().T).max() > 1e-10:
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        tr = np.trace(mat)
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"density matrix trace {tr} deviates from 1 beyond 1e-10")
-        spectrum = np.linalg.eigvalsh(mat)
-        if spectrum[0] < -1e-10:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "spectrum", _validated_spectra(mat[np.newaxis])[0])
 
     @property
     def total_dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _validated_spectra(mats: np.ndarray) -> np.ndarray:
+    """Ascending spectra of a stack (k, d, d) of density matrices, each
+    checked to be Hermitian within 1e-10, of trace 1 within 1e-10 and
+    free of eigenvalues below -1e-10."""
+    if np.abs(mats - mats.conj().swapaxes(-1, -2)).max() > 1e-10:
+        raise ValueError("density matrix is not Hermitian within 1e-10")
+    tr = np.trace(mats, axis1=-2, axis2=-1)
+    bad = np.abs(tr - 1.0) > 1e-10
+    if bad.any():
+        raise ValueError(f"density matrix trace {tr[bad][0]} deviates from 1 beyond 1e-10")
+    # one eigvalsh call per matrix, so a count of calls counts eigensolves
+    spectra = np.array([np.linalg.eigvalsh(m) for m in mats])
+    if np.any(spectra[:, 0] < -1e-10):
+        raise ValueError("density matrix has an eigenvalue below -1e-10")
+    return spectra
 
 
 def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
@@ -254,13 +263,13 @@ def global_entanglement(state: DenseState) -> float:
         raise ValueError("state must be normalized")
     psi = state.amplitudes.reshape(state.dims)
     sites = (np.moveaxis(psi, k, 0).reshape(2, -1) for k in range(len(state.dims)))
-    return global_entanglement_from_sites(np.stack([t @ t.conj().T for t in sites]))
+    return float(global_entanglement_from_sites(np.stack([t @ t.conj().T for t in sites])))
 
 
-def global_entanglement_from_sites(rhos: np.ndarray) -> float:
-    """Q = 2 - (2/N) sum_k Tr(rho_k^2) of the stack (N, 2, 2) of a
-    chain's one-site reduced states rho_k."""
-    return float(2.0 - 2.0 * np.einsum("kij,kji->k", rhos, rhos).real.mean())
+def global_entanglement_from_sites(rhos: np.ndarray) -> np.ndarray:
+    """Q = 2 - (2/N) sum_k Tr(rho_k^2) of the stack (..., N, 2, 2) of
+    chains' one-site reduced states rho_k, one value per chain."""
+    return 2.0 - 2.0 * np.einsum("...kij,...kji->...k", rhos, rhos).real.mean(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,10 @@ the fourth-moment delta formula for reported standard deviations.
 Each kind of sample has one draw loop.  The dense-state estimators
 read the r x d amplitudes of `_dense_states`; the leading-block ones
 (distance to I/d, moments, smallest eigenvalue) read the r x d_A
-ascending spectra of `_block_spectra`, each solved once.  A report of
+ascending spectra of `_block_spectra`, each solved once.  It and Q draw
+matrix product states in index order in chunks of a fixed size rule
+(`_chunks`), each one stack whose reduced states are closed and
+validated together.  A report of
 per-sample values is built once, and frozen, by one of two builders:
 `_mean_report` (the mean, or its distance from an exact reference) and
 `_spread_report` (the sample standard deviation).  A source checks its
@@ -38,7 +41,8 @@ from . import dense
 from .dense import DenseState, DensityMatrix
 from .errors import DimensionError
 from .haar import Seed, as_seed, subseed
-from .mps import BOUNDARIES, LocalObservable, Mps, _Stack, sample_rmps
+from .mps import BOUNDARIES, LocalObservable, Mps, _block_states, _pair_elements, \
+    _site_states, _Stack, sample_rmps
 
 
 @dataclass(frozen=True)
@@ -241,10 +245,12 @@ def average_state_distance(spec: EnsembleSpec, norm: str = "trace") -> EnsembleR
     if r > 1:
         lam, v = np.linalg.eigh(avg)
         diag = np.diag(r / (r - 1) * lam - 1.0 / d)
-        loo = np.empty(r)
+        loo, buf = np.empty(r), np.empty((d, d))
         for i in range(r):
             a = np.abs(states[i] @ v.conj())
-            mu = np.linalg.eigvalsh(diag - np.outer(a, a) / (r - 1))
+            np.outer(a, a, out=buf)
+            buf /= r - 1
+            mu = np.linalg.eigvalsh(np.subtract(diag, buf, out=buf))
             loo[i] = np.abs(mu).sum() if norm == "trace" else np.sqrt(np.sum(mu * mu))
         se = _jackknife_se(loo)
     return EnsembleReport(spec, f"average_state_distance[{norm}]", float(value), se)
@@ -265,14 +271,38 @@ def _reduced(spec: EnsembleSpec, index: int, length: int) -> DensityMatrix:
     return dense.partial_trace(draw_dense(spec, index), range(length))
 
 
+# Samples per chunk of the matrix product state loops, fixed so that no
+# table depends on it: at most _CHUNK_SAMPLES, and at most as many as keep
+# each batched array of the chunk within _CHUNK_ELEMENTS (256 KiB).  On
+# q-sweep (1 BLAS thread) chunks of 16 samples, with 1 MiB arrays, took
+# the allocation peak from 0.5 to 6.1 MiB (1.6 MiB in chunks of 4) for
+# about 5% of q_statistics' time.
+_CHUNK_SAMPLES = 16
+_CHUNK_ELEMENTS = 2**14
+
+
+def _chunks(spec: EnsembleSpec):
+    """(index slice, stack) of each chunk of samples, drawn in index order."""
+    src = spec.source
+    per_sample = src.n_sites * _pair_elements(src.phys_dim, src.bond_dim, src.boundary)
+    size = max(1, min(_CHUNK_SAMPLES, _CHUNK_ELEMENTS // per_sample))
+    for start in range(0, spec.r, size):
+        part = slice(start, min(spec.r, start + size))
+        yield part, _Stack.of(draw_mps(spec, i) for i in range(part.start, part.stop))
+
+
 def _block_spectra(spec: EnsembleSpec, length: int) -> np.ndarray:
     """The r x d_A ascending spectra of the samples' reduced states on
     the first ``length`` sites: the eigenvalues that validated each."""
     d_a = math.prod(source_dims(spec.source)[:length])
     dense.check_density_cap(d_a)
     spectra = np.empty((spec.r, d_a))
-    for i in range(spec.r):
-        spectra[i] = _reduced(spec, i, length).spectrum
+    if isinstance(spec.source, RmpsSource):
+        for part, stack in _chunks(spec):
+            spectra[part] = dense._validated_spectra(_block_states(stack, 0, length))
+    else:
+        for i in range(spec.r):
+            spectra[i] = _reduced(spec, i, length).spectrum
     return spectra
 
 
@@ -354,8 +384,11 @@ def purity_relative_error(spec: EnsembleSpec, report: EnsembleReport) -> float:
     """Relative deviation of the cross term from the maximally mixed purity.
 
     ((cross term) - 1/dim) * dim for the report produced by
-    purity_of_average_via_overlaps; zero means the average state's
-    purity is exactly on the 1/r + 1/dim floor.
+    purity_of_average_via_overlaps.  Zero means that this realization's
+    average state has purity exactly 1/r + 1/dim, but zero is not the
+    ensemble mean when E[rho] = I/dim: each of the r(r - 1) cross pairs
+    then has E|<psi_i|psi_j>|^2 = 1/dim, so E[cross term] =
+    (r - 1)/(r dim) and the error's mean is exactly -1/r.
     """
     d = total_dim(spec.source)
     return (report.value - 1.0 / d) * d
@@ -378,11 +411,11 @@ def q_statistics(spec: EnsembleSpec, bins: int = 100
     if bins < 1:
         raise ValueError(f"bin count must be positive, got {bins}")
     qs = np.empty(spec.r)
-    for i in range(spec.r):
-        if isinstance(spec.source, RmpsSource):
-            rhos = draw_mps(spec, i).site_density_matrices()
-            qs[i] = dense.global_entanglement_from_sites(rhos)
-        else:
+    if isinstance(spec.source, RmpsSource):
+        for part, stack in _chunks(spec):
+            qs[part] = dense.global_entanglement_from_sites(_site_states(stack))
+    else:
+        for i in range(spec.r):
             qs[i] = dense.global_entanglement(draw_dense(spec, i))
     # Q lies in [0, 1] exactly; clip the ~1e-16 roundoff excursions once,
     # so every sample lands in a bin and no statistic leaves [0, 1].

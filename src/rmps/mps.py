@@ -30,10 +30,11 @@ dimension and one the other way round, and the ring's boundary axis
 folds in the same way, so open chains and rings run the same kernel.
 Contractions never build the full chi^2 x chi^2 transfer matrices
 except in the two functions that expose them; a sweep costs
-O(N D chi^3) per pair on open chains and O(N D chi^5) on rings.  The
-one-site reduced states of a chain close between their environments
-all at once, in three matrix products batched over the sites, reading
-the environments in the layout the sweep leaves them in.  BOUNDARIES and
+O(N D chi^3) per pair on open chains and O(N D chi^5) on rings.  Reduced
+states sweep each state of a stack against itself alone (_pair_step,
+per sample bitwise the 1 x 1 Gram step), then close every site, or
+every block, of the stack in three batched matrix products; a single
+state's reduced states are its stack of one.  BOUNDARIES and
 LocalObservable.check_fits own the closure and observable-fit rules.
 """
 
@@ -174,37 +175,15 @@ class Mps:
         return float(_gram(one, one, site_ops)[0, 0].real) / norm_sq
 
     def reduced_density_matrix(self, start: int, length: int) -> DensityMatrix:
-        """Reduced state of ``length`` contiguous sites from ``start``.
-
-        The block is multiplied out with its physical indices open and
-        closed between the environments on either side; the result is
-        divided by its own trace, so it has unit trace regardless of the
-        state norm.  Block dimension D^length is capped.
-        """
-        n, d = self.n_sites, self.phys_dim
-        if not (0 <= start and length >= 1 and start + length <= n):
-            raise DimensionError(
-                f"block [{start}, {start + length}) does not fit in {n} sites")
-        check_density_cap(d**length)
-        lefts, rights = _environments(self, start, n - start - length)
-        block = _multiply(np.eye(self.bond_dim, dtype=np.complex128)[np.newaxis],
-                          self.tensors[start:start + length])
-        rho = _normalized(_open_sites(lefts[-1][np.newaxis], block[np.newaxis],
-                                      rights[-1][np.newaxis])[0])
-        rho = (rho + rho.conj().T) / 2.0
-        return DensityMatrix((d,) * length, rho)
+        """Reduced state of ``length`` contiguous sites from ``start``: the
+        stack of one of _block_states, whose trace it divides out."""
+        return DensityMatrix((self.phys_dim,) * length,
+                             _block_states(_Stack.one(self), start, length)[0])
 
     def site_density_matrices(self) -> np.ndarray:
-        """All one-site reduced density matrices, shape (N, D, D).
-
-        One environment sweep each way for the whole chain, so the total
-        cost is O(N D chi^3) on open chains and O(N D chi^5) on rings;
-        every site then closes in one batched product (_open_sites).
-        """
-        n = self.n_sites
-        lefts, rights = _environments(self, n - 1, n - 1)
-        return _normalized(_open_sites(np.stack(lefts), np.stack(self.tensors),
-                                       np.stack(rights[::-1])))
+        """All one-site reduced density matrices, shape (N, D, D): the
+        stack of one of _site_states."""
+        return _site_states(_Stack.one(self))[0]
 
     def to_dense(self) -> DenseState:
         """Dense amplitudes of the raw state (no normalization).
@@ -218,7 +197,7 @@ class Mps:
             left, right = self.left_vec.conj()[:, np.newaxis], self.right_vec[:, np.newaxis]
         else:
             left = right = np.eye(self.bond_dim, dtype=np.complex128)
-        psi = _multiply(left.T[np.newaxis], self.tensors)
+        psi = _multiply(left.T[np.newaxis, np.newaxis], _Stack.one(self).tensors)[0]
         return DenseState((d,) * n, (psi * right.T).sum(axis=(1, 2)))
 
     def max_isometry_defect(self) -> float:
@@ -320,8 +299,10 @@ def overlap(a: Mps, b: Mps) -> complex:
 # rides on the bra's site tensors, never on the environment.  A Gram
 # sweep lets the sides swap roles at every site, so each step reads the
 # environment without a copy and its one transpose of a block-sized array
-# sits between the two products; the single-pair environments of the
-# reduced states are transposed back instead (see _environments).
+# sits between the two products.  The reduced states need only the
+# diagonal pairs <psi_p|psi_p> of a stack: _pair_step pairs the two
+# sample axes into one, p, and each of its environments is transposed
+# back before the next step instead (see _environments).
 
 
 @dataclass(frozen=True)
@@ -384,9 +365,11 @@ def _pair_elements(phys_dim: int, bond_dim: int, boundary: str) -> int:
     return phys_dim * bond_dim**2 * (bond_dim**2 if boundary == "pbc" else 1)
 
 
-def _boundary(ket: _Stack, bra: _Stack) -> tuple[np.ndarray, np.ndarray]:
+def _boundary(ket: _Stack, bra: _Stack, paired: bool = False
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Boundary pair (L, R) of a sweep of kets j against bras m, in the
-    [m, j, ket bond, s, bra bond] layout.
+    [m, j, ket bond, s, bra bond] layout, or [p, ket bond, s, bra bond]
+    when ``paired`` matches ket p with bra p.
 
     Open chains: L = left* (x) left and R = right (x) right*, with a
     boundary axis of size 1.  Rings: both are the identity on
@@ -394,14 +377,15 @@ def _boundary(ket: _Stack, bra: _Stack) -> tuple[np.ndarray, np.ndarray]:
     """
     if ket.boundary == "obc":
         def pair(k, b):
-            return (k[np.newaxis, :, :, np.newaxis, np.newaxis]
-                    * b[:, np.newaxis, np.newaxis, np.newaxis, :])
+            if not paired:
+                k, b = k[np.newaxis], b[:, np.newaxis]
+            return k[..., :, np.newaxis, np.newaxis] * b[..., np.newaxis, np.newaxis, :]
         return (pair(ket.left_vec.conj(), bra.left_vec),
                 pair(ket.right_vec, bra.right_vec.conj()))
     chi_k, chi_b = ket.bond_dim, bra.bond_dim
+    samples = (len(ket.tensors[0]),) if paired else (len(bra.tensors[0]), len(ket.tensors[0]))
     eye = np.eye(chi_k * chi_b, dtype=np.complex128).reshape(chi_k, chi_b, chi_k * chi_b)
-    eye = np.broadcast_to(eye.transpose(0, 2, 1), (len(bra.tensors[0]), len(ket.tensors[0]),
-                                                   chi_k, chi_k * chi_b, chi_b))
+    eye = np.broadcast_to(eye.transpose(0, 2, 1), samples + (chi_k, chi_k * chi_b, chi_b))
     return eye, eye
 
 
@@ -441,28 +425,75 @@ def _gram(ket: _Stack, bra: _Stack, site_ops: dict[int, np.ndarray] | None = Non
     return (env * left).sum(axis=(-3, -2, -1))
 
 
-def _environments(mps: Mps, n_left: int, n_right: int
-                  ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Left environments of <mps|mps> over its first n_left sites and
-    right ones over its last n_right, boundary first, each in the
-    sweep's [ket bond, s, bra bond] layout that _open_sites reads.
+def _pair_step(x: np.ndarray, env: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Absorb one site into the environments of paired samples:
+    env'[p, c, s, a] = sum x[p, i, a, b] env[p, b, s, d] y[p, i, c, d].
 
-    A left environment is the same sweep on transposed site matrices.
-    Every step absorbs the ket first, whatever the site's parity: one
-    transpose of each single-pair environment hands the step its
-    [j, m, bra bond, s, ket bond] layout.  The rounding of a reduced
-    state, which decides the near-zero eigenvalues of a rank-deficient
-    block, then follows one operand order on every site.
+    Per sample p it is _gram_step at one row and one column: the same
+    two products in the same operand order, so bitwise its diagonal.
+    """
+    p, chi_b, s, chi_d = env.shape
+    d, chi_a, chi_c = x.shape[-3], x.shape[-2], y.shape[-2]
+    t = np.matmul(y.reshape(p, d * chi_c, chi_d),
+                  env.reshape(p, chi_b * s, chi_d).swapaxes(-1, -2))
+    t = t.reshape(p, d, chi_c, chi_b, s).transpose(0, 2, 4, 1, 3)
+    t = np.matmul(t.reshape(p, chi_c * s, d * chi_b),
+                  x.swapaxes(-1, -2).reshape(p, d * chi_b, chi_a))
+    return t.reshape(p, chi_c, s, chi_a)
+
+
+def _environments(stack: _Stack, n_left: int, n_right: int
+                  ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Left environments of each <psi_p|psi_p> of a stack over its first
+    n_left sites and right ones over its last n_right, boundary first,
+    each in the [p, ket bond, s, bra bond] layout that _open_sites reads.
+
+    Every sample sweeps against itself alone, by _pair_step.  A left
+    environment is the same sweep on transposed site matrices.  Every
+    step absorbs the ket first, whatever the site's parity: one
+    transpose of each environment hands the step its [p, bra bond, s,
+    ket bond] layout.  The rounding of a reduced state, which decides
+    the near-zero eigenvalues of a rank-deficient block, then follows
+    one operand order on every site and every sample.
     """
     def sweep(env, sites):
         envs = [env]
         for t in sites:
-            envs.append(_gram_step(t.conj(), envs[-1].transpose(1, 0, 4, 3, 2), t))
-        return [env[0, 0] for env in envs]
-    one = _Stack.one(mps)
-    left, right = _boundary(one, one)
-    return (sweep(left, [t.swapaxes(-1, -2) for t in one.tensors[:n_left]]),
-            sweep(right, one.tensors[::-1][:n_right]))
+            envs.append(_pair_step(t.conj(), envs[-1].transpose(0, 3, 2, 1), t))
+        return envs
+    left, right = _boundary(stack, stack, paired=True)
+    return (sweep(left, [t.swapaxes(-1, -2) for t in stack.tensors[:n_left]]),
+            sweep(right, stack.tensors[::-1][:n_right]))
+
+
+def _site_states(stack: _Stack) -> np.ndarray:
+    """All one-site reduced states of every sample of a stack, shape
+    (samples, N, D, D): one sweep each way, O(N D chi^3) per sample on
+    open chains and O(N D chi^5) on rings, and one _open_sites call."""
+    n = len(stack.tensors)
+    lefts, rights = _environments(stack, n - 1, n - 1)
+    rho = _normalized(_open_sites(*(np.stack(a, axis=1).reshape(-1, *a[0].shape[1:])
+                                    for a in (lefts, stack.tensors, rights[::-1]))))
+    return rho.reshape(-1, n, *rho.shape[1:])
+
+
+def _block_states(stack: _Stack, start: int, length: int) -> np.ndarray:
+    """Reduced states of ``length`` contiguous sites from ``start`` of
+    every sample of a stack, each divided by its own trace, shape
+    (samples, D^length, D^length): the blocks multiplied out and closed
+    between their environments in one _open_sites call.  D^length is capped.
+    """
+    n, d, chi = len(stack.tensors), stack.tensors[0].shape[1], stack.bond_dim
+    if not (0 <= start and length >= 1 and start + length <= n):
+        raise DimensionError(
+            f"block [{start}, {start + length}) does not fit in {n} sites")
+    check_density_cap(d**length)
+    lefts, rights = _environments(stack, start, n - start - length)
+    eye = np.broadcast_to(np.eye(chi, dtype=np.complex128),
+                          (len(stack.tensors[0]), 1, chi, chi))
+    block = _multiply(eye, stack.tensors[start:start + length])
+    rho = _normalized(_open_sites(lefts[-1], block, rights[-1]))
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _open_sites(lefts: np.ndarray, kets: np.ndarray, rights: np.ndarray) -> np.ndarray:
@@ -481,11 +512,13 @@ def _open_sites(lefts: np.ndarray, kets: np.ndarray, rights: np.ndarray) -> np.n
 
 
 def _multiply(m: np.ndarray, tensors) -> np.ndarray:
-    """Multiply site tensors onto m[I, s, a] from the right, appending
-    each physical index to I: m'[(I, i), s, b] = sum_a m[I, s, a] A^i[a, b].
+    """Multiply the site tensors of each sample p onto m[p, I, s, a] from
+    the right, appending each physical index to I:
+    m'[p, (I, i), s, b] = sum_a m[p, I, s, a] A^i[p, a, b].
     """
     for a in tensors:
-        m = np.matmul(m[:, np.newaxis], a).reshape(-1, m.shape[1], a.shape[2])
+        m = np.matmul(m[:, :, np.newaxis], a[:, np.newaxis]).reshape(
+            len(m), -1, m.shape[2], a.shape[3])
     return m
 
 

@@ -199,6 +199,28 @@ def test_worker_count_never_affects_outputs(tmp_path):
     assert data["1"] == data["4"]
 
 
+def test_chunk_size_never_affects_outputs(tmp_path, monkeypatch):
+    """The Q and leading-block experiments write byte-identical tables
+    whatever the number of samples per chunk, with r not a multiple of
+    3 so the last chunk is a short one."""
+    default = ensembles._CHUNK_SAMPLES
+    data = {}
+    for chunk in (1, 3, default):
+        monkeypatch.setattr(ensembles, "_CHUNK_SAMPLES", chunk)
+        for name in ("q-histogram", "q-vs-chi", "moments-vs-chi", "min-eig-vs-chi",
+                     "subsystem-convergence"):
+            body = dict(TINY[name], seed=5)
+            body["r"] += 1 if body["r"] % 3 == 0 else 0
+            out_dir = tmp_path / f"{name}-{chunk}"
+            cfg = write_cfg(tmp_path, name, body, fname=f"{name}.json")
+            assert main(["run", str(cfg), "--out", str(out_dir)]) == 0, name
+            for path in sorted(out_dir.glob("*.csv")):
+                data.setdefault((name, path.name), []).append(path.read_bytes())
+    assert len(data) == 6
+    for key, tables in data.items():
+        assert tables[0] == tables[1] == tables[2], key
+
+
 def test_flag_overrides_win_over_file(tmp_path):
     cfg = write_cfg(tmp_path, "q-vs-chi",
                     {"r": 40, "seed": 1, "params": {"n": 4, "chis": [2]}})

@@ -683,3 +683,16 @@ def test_report_invariants():
     assert np.isfinite(rep.value) and rep.stderr >= 0.0
     assert np.isclose(rep.value, rep.per_sample.mean())
     assert np.isclose(rep.stderr, rep.per_sample.std(ddof=1) / np.sqrt(60))
+
+
+def test_chunks_draw_in_index_order_within_their_budget():
+    """Chunks cover samples 0 .. r-1 in order: _CHUNK_SAMPLES at a time on
+    a small open chain, fewer at chi = 16, and one at a time on a ring
+    whose one sample already fills the element budget."""
+    for source, want in ((RmpsSource(4, 2, 2), [16, 4]), (RmpsSource(8, 2, 16), [4, 4, 1]),
+                         (RmpsSource(4, 2, 8, boundary="pbc"), [1, 1])):
+        spec = EnsembleSpec(source, sum(want), Seed(0))
+        parts = [(part, len(stack.tensors[0])) for part, stack in ensembles._chunks(spec)]
+        assert [size for _, size in parts] == want
+        assert [i for part, _ in parts for i in range(part.start, part.stop)] == \
+            list(range(spec.r))

@@ -406,3 +406,45 @@ def test_load_rejects_header_that_disagrees_with_tensors(tmp_path):
         np.savez(bad, **{**arrays, "header": np.array(json.dumps({**header, **edit}))})
         with pytest.raises(DimensionError):
             load_mps(bad)
+
+
+@pytest.mark.parametrize("boundary", ["obc", "pbc"])
+def test_pair_step_is_bitwise_the_one_by_one_gram_step(boundary):
+    """The paired transfer step gives, for each sample, bitwise the Gram
+    step of that sample's ket against its own bra alone, with the
+    environment handed over as the sweeps hand it (a transposed view)."""
+    states = [sample_rmps(4, 2, 3, 70 + k, boundary=boundary) for k in range(5)]
+    stack = mps._Stack.of(states)
+    rng = np.random.default_rng(7)
+    s = 9 if boundary == "pbc" else 1
+    env = rng.standard_normal((5, 3, s, 3)) + 1j * rng.standard_normal((5, 3, s, 3))
+    for t in stack.tensors:
+        got = mps._pair_step(t.conj(), env.transpose(0, 3, 2, 1), t)
+        for p in range(5):
+            want = mps._gram_step(t[p:p + 1].conj(),
+                                  env[p][np.newaxis, np.newaxis].transpose(1, 0, 4, 3, 2),
+                                  t[p:p + 1])
+            assert np.array_equal(got[p], want[0, 0])
+        env = got
+
+
+@pytest.mark.parametrize("boundary, homogeneous, phys_dim, bond_dim", [
+    ("obc", False, 2, 3), ("pbc", False, 2, 3), ("obc", True, 2, 2), ("pbc", True, 2, 2),
+    ("obc", False, 2, 1), ("pbc", False, 2, 1), ("obc", False, 3, 2)],
+    ids=["obc", "pbc", "homogeneous-obc", "homogeneous-pbc", "chi1-obc", "chi1-pbc", "qutrit"])
+def test_stacked_reduced_states_are_bitwise_the_per_state_ones(boundary, homogeneous,
+                                                               phys_dim, bond_dim):
+    """The one-site and block states of a stack of five states are bitwise
+    those each state gives alone, for blocks at the left end, in the
+    bulk and at the right end."""
+    states = [sample_rmps(5, phys_dim, bond_dim, 80 + k, homogeneous=homogeneous,
+                          boundary=boundary) for k in range(5)]
+    stack = mps._Stack.of(states)
+    sites = mps._site_states(stack)
+    assert sites.shape == (5, 5, phys_dim, phys_dim)
+    for start, length in ((0, 2), (1, 3), (2, 1), (3, 2)):
+        blocks = mps._block_states(stack, start, length)
+        for m, block in zip(states, blocks):
+            assert np.array_equal(block, m.reduced_density_matrix(start, length).matrix)
+    for m, rhos in zip(states, sites):
+        assert np.array_equal(rhos, m.site_density_matrices())
