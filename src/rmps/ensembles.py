@@ -16,7 +16,9 @@ sample (state-average distances, the pairwise purity estimator), and
 the fourth-moment delta formula for reported standard deviations.
 
 Each kind of sample has one draw loop.  The dense-state estimators
-read the r x d amplitudes of `_dense_states`; the leading-block ones
+read the r x d amplitudes of `_dense_states`; the jackknife of the
+average state's distance eigensolves that state once and no sample (see
+average_state_distance).  The leading-block ones
 (distance to I/d, moments, smallest eigenvalue) read the r x d_A
 ascending spectra of `_block_spectra`, each solved once.  It and Q draw
 matrix product states in index order in chunks of a fixed size rule
@@ -232,7 +234,11 @@ def average_state_distance(spec: EnsembleSpec, norm: str = "trace") -> EnsembleR
     lam and eigenvectors V.  In that basis, with the phases of
     V^dag psi_i absorbed into it, the leave-one-out difference is
     the real symmetric diag(lam) - a a^T / (r - 1), a = |V^dag psi_i|,
-    which has the same spectrum and so the same trace and HS norms.
+    which has the same spectrum and so the same trace and HS norms.  The
+    squared HS norm is closed, sum lam^2 - 2 sum lam a^2 / (r - 1) + |a|^4 / (r - 1)^2,
+    and its trace norm comes from the secular equation (dense._trace_norms),
+    so no sample costs an eigensolve.  The a are formed one row at a time,
+    in chunks of a fixed size, so no value depends on the chunk size.
     """
     metric = _metric(norm)
     r, d = spec.r, total_dim(spec.source)
@@ -244,14 +250,18 @@ def average_state_distance(spec: EnsembleSpec, norm: str = "trace") -> EnsembleR
     se = 0.0
     if r > 1:
         lam, v = np.linalg.eigh(avg)
-        diag = np.diag(r / (r - 1) * lam - 1.0 / d)
-        loo, buf = np.empty(r), np.empty((d, d))
-        for i in range(r):
-            a = np.abs(states[i] @ v.conj())
-            np.outer(a, a, out=buf)
-            buf /= r - 1
-            mu = np.linalg.eigvalsh(np.subtract(diag, buf, out=buf))
-            loo[i] = np.abs(mu).sum() if norm == "trace" else np.sqrt(np.sum(mu * mu))
+        lam, rho, v = r / (r - 1) * lam - 1.0 / d, 1.0 / (r - 1), v.conj()
+        size = min(r, max(1, dense._SECULAR_ELEMENTS // d**2))
+        loo, buf = np.empty(r), np.empty((size, 1, d), dtype=np.complex128)
+        for start in range(0, r, size):
+            part = slice(start, min(r, start + size))
+            a = np.abs(np.matmul(states[part, np.newaxis], v, out=buf[:part.stop - start])[:, 0])
+            if norm == "trace":
+                loo[part] = dense._trace_norms(lam, a, rho)
+            else:
+                a *= a
+                loo[part] = np.sqrt(lam @ lam - 2.0 * rho * (a * lam).sum(axis=1)
+                                    + (rho * a.sum(axis=1)) ** 2)
         se = _jackknife_se(loo)
     return EnsembleReport(spec, f"average_state_distance[{norm}]", float(value), se)
 
@@ -288,7 +298,8 @@ def _chunks(spec: EnsembleSpec):
     size = max(1, min(_CHUNK_SAMPLES, _CHUNK_ELEMENTS // per_sample))
     for start in range(0, spec.r, size):
         part = slice(start, min(spec.r, start + size))
-        yield part, _Stack.of(draw_mps(spec, i) for i in range(part.start, part.stop))
+        yield part, _Stack.of((draw_mps(spec, i) for i in range(part.start, part.stop)),
+                              part.stop - part.start)
 
 
 def _block_spectra(spec: EnsembleSpec, length: int) -> np.ndarray:
@@ -343,7 +354,7 @@ def purity_of_average_via_overlaps(spec: EnsembleSpec) -> EnsembleReport:
         def gram(rows, cols):
             return states[rows].conj() @ states[cols].T
     else:
-        stack = _Stack.of(draw_mps(spec, i) for i in range(r))
+        stack = _Stack.of((draw_mps(spec, i) for i in range(r)), r)
         gram, pair_elements = stack.gram, stack.pair_elements
     norms, row_sums = np.empty(r), np.zeros(r)
     for start, stop in reversed(_row_blocks(r, pair_elements)):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rmps import dense
 from rmps.dense import (
     CUE_MIN_EIG_DIM_CAP,
     DENSITY_DIM_CAP,
@@ -178,6 +179,70 @@ def test_metric_properties():
             assert metric(a, b) >= 0.0
             assert metric(a, c) <= metric(a, b) + metric(b, c) + 1e-10
         assert hs_distance(a, b) <= trace_distance(a, b) + 1e-10
+
+
+def _unit_rows(rng, count, d, zero=()):
+    a = np.abs(rng.normal(size=(count, d)))
+    a[:, list(zero)] = 0.0
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+def _secular_case(name):
+    """(lam, a, rho) of one kernel case: ascending lam, rows a >= 0."""
+    rng = np.random.default_rng(7)
+    lam = np.sort(rng.normal(size=16)) / 16
+    if name.startswith("r = "):
+        # the leave-one-out differences of r Haar states in dimension 8:
+        # rank r, so 8 - r weights vanish on poles repeated at -1/8
+        r = int(name[-1])
+        psi = np.array([haar_state(8, subseed(29, i)) for i in range(r)])
+        avg_lam, v = np.linalg.eigh(psi.T @ psi.conj() / r)
+        return r / (r - 1) * avg_lam - 1 / 8, np.abs(psi @ v.conj()), 1 / (r - 1)
+    if name == "pole at 0":
+        lam -= lam[7]
+    elif name.startswith("repeated poles"):
+        lam[4], lam[9], lam[10] = lam[3], lam[8], lam[8]
+    elif name == "all negative":
+        lam = np.sort(-np.abs(lam))
+    elif name == "all positive":
+        lam = np.sort(np.abs(lam))
+    elif name == "d = 2":
+        lam = np.array([-0.3, 0.4])
+    zero = (4, 9, 10) if name == "repeated poles, zero weights" else \
+        (2, 5, 11) if name == "zero weights" else ()
+    return lam, _unit_rows(rng, 5, lam.size, zero), 0.3
+
+
+@pytest.mark.parametrize("name,fallbacks", [
+    ("generic", 0), ("zero weights", 0), ("repeated poles", 5),
+    ("repeated poles, zero weights", 0), ("pole at 0", 0), ("all negative", 0),
+    ("all positive", 0), ("d = 2", 0), ("r = 2", 0), ("r = 3", 0)])
+def test_trace_norms_match_eigensolves(monkeypatch, name, fallbacks):
+    """The secular-equation trace norms of diag(lam) - rho a a^T match
+    eigvalsh's within 1e-12 relative.  Deflated weights need no eigensolve;
+    poles repeated under undeflated weights send their rows to eigvalsh."""
+    lam, a, rho = _secular_case(name)
+    want = [np.abs(np.linalg.eigvalsh(np.diag(lam) - rho * np.outer(x, x))).sum() for x in a]
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or real(m))
+    got = dense._trace_norms(lam, a, rho)
+    assert len(calls) == fallbacks
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_trace_norms_fall_back_to_eigensolves(monkeypatch):
+    """With no iterations allowed, no root converges and every row is
+    eigensolved, giving eigvalsh's trace norms."""
+    lam, a, rho = _secular_case("generic")
+    want = [np.abs(np.linalg.eigvalsh(np.diag(lam) - rho * np.outer(x, x))).sum() for x in a]
+    monkeypatch.setattr(dense, "_SECULAR_ITERATIONS", 0)
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or real(m))
+    got = dense._trace_norms(lam, a, rho)
+    assert len(calls) == len(a)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 def test_purity_moment_examples():

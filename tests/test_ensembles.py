@@ -185,12 +185,55 @@ def test_average_state_jackknife_matches_full_eigensolves(kind, n, r, norm):
 
 def test_average_state_distance_solves_one_dense_distance(monkeypatch):
     """dense.trace_distance runs once per call, for the value; the r
-    leave-one-out distances come from the real eigensolves."""
+    leave-one-out distances come from the secular equation."""
     calls = []
     real = dense.trace_distance
     monkeypatch.setattr(dense, "trace_distance", lambda a, b: calls.append(1) or real(a, b))
     average_state_distance(EnsembleSpec(RmpsSource(5, 2, 2), 30, Seed(5)), "trace")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("norm", ["trace", "hs"])
+@pytest.mark.parametrize("source,r", [(RmpsSource(5, 2, 3), 60), (CueSource((2,) * 5), 20)],
+                         ids=["rmps-r>d", "cue-r<d"])
+def test_average_state_jackknife_is_independent_of_the_chunk_size(monkeypatch, source, r,
+                                                                  norm):
+    """The stderr is bitwise the same when the kernel's budget allows one
+    sample per chunk as at its default."""
+    spec = EnsembleSpec(source, r, Seed(43))
+    default = average_state_distance(spec, norm)
+    monkeypatch.setattr(dense, "_SECULAR_ELEMENTS", 1)
+    assert average_state_distance(spec, norm).stderr == default.stderr
+
+
+@pytest.mark.parametrize("source", [RmpsSource(5, 2, 2), CueSource((2,) * 5)],
+                         ids=["rmps", "cue"])
+def test_average_state_jackknife_solves_no_eigenproblem(monkeypatch, source):
+    """At r > d the r leave-one-out trace norms need no eigensolve: the
+    one eigvalsh call is the value's, the complex one of dense.trace_distance."""
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.dtype) or real(a))
+    average_state_distance(EnsembleSpec(source, 80, Seed(47)), "trace")
+    assert calls == [np.complex128]
+
+
+@pytest.mark.parametrize("norm", ["trace", "hs"])
+@pytest.mark.parametrize("boundary", ["obc", "pbc"])
+@pytest.mark.parametrize("r", [40, 12])
+def test_homogeneous_jackknife_matches_full_eigensolves(boundary, r, norm):
+    """Homogeneous chains, whose states span a subspace, deflate the
+    jackknife's null weights, and at r < d so does every ensemble; the
+    stderr still matches the loop of full eigensolves within 1e-12.  On
+    rings at r = 40 every leave-one-out distance is the same, so the exact
+    stderr is 0 and both sides are roundoff."""
+    spec = EnsembleSpec(RmpsSource(5, 2, 2, homogeneous=True, boundary=boundary), r, Seed(53))
+    value, se = _loop_average_state_distance(spec, norm)
+    rep = average_state_distance(spec, norm)
+    if se < 1e-14:
+        assert rep.stderr < 1e-14
+    else:
+        assert abs(rep.stderr - se) <= 1e-12 * se
 
 
 def test_exact_subsystem_distance_reuses_the_validation_spectrum(monkeypatch):

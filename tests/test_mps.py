@@ -448,3 +448,23 @@ def test_stacked_reduced_states_are_bitwise_the_per_state_ones(boundary, homogen
             assert np.array_equal(block, m.reduced_density_matrix(start, length).matrix)
     for m, rhos in zip(states, sites):
         assert np.array_equal(rhos, m.site_density_matrices())
+
+
+@pytest.mark.parametrize("boundary", ["obc", "pbc"])
+def test_stack_holds_each_states_arrays_bitwise(boundary):
+    """_Stack.of copies the states, as an iterator of a given count, into
+    one array per site: state i's site-k tensor set at tensors[k][i] and
+    its boundary vectors at row i, bitwise."""
+    states = [sample_rmps(4, 2, 3, 90 + k, boundary=boundary) for k in range(3)]
+    stack = mps._Stack.of(iter(states), 3)
+    assert len(stack.tensors) == 4 and stack.boundary == boundary
+    for k, site in enumerate(stack.tensors):
+        assert site.shape == (3, 2, 3, 3) and site.flags.c_contiguous
+        for i, m in enumerate(states):
+            assert np.array_equal(site[i], m.tensors[k])
+    for name in ("left_vec", "right_vec"):
+        vecs = getattr(stack, name)
+        if boundary == "obc":
+            assert np.array_equal(vecs, [getattr(m, name) for m in states])
+        else:
+            assert vecs is None
