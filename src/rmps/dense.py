@@ -133,8 +133,7 @@ def _validated_spectra(mats: np.ndarray) -> np.ndarray:
     bad = np.abs(tr - 1.0) > 1e-10
     if bad.any():
         raise ValueError(f"density matrix trace {tr[bad][0]} deviates from 1 beyond 1e-10")
-    # one eigvalsh call per matrix, so a count of calls counts eigensolves
-    spectra = np.array([np.linalg.eigvalsh(m) for m in mats])
+    spectra = np.linalg.eigvalsh(mats)
     if np.any(spectra[:, 0] < -1e-10):
         raise ValueError("density matrix has an eigenvalue below -1e-10")
     return spectra

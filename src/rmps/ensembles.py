@@ -15,19 +15,20 @@ jackknife for statistics that are nonlinear functions of the whole
 sample (state-average distances, the pairwise purity estimator), and
 the fourth-moment delta formula for reported standard deviations.
 
-Each kind of sample has one draw loop.  The dense-state estimators
-read the r x d amplitudes of `_dense_states`; the jackknife of the
-average state's distance eigensolves that state once and no sample (see
-average_state_distance).  The leading-block ones
-(distance to I/d, moments, smallest eigenvalue) read the r x d_A
-ascending spectra of `_block_spectra`, each solved once.  It and Q draw
-matrix product states in index order in chunks of a fixed size rule
-(`_chunks`), each one stack whose reduced states are closed and
-validated together.  A report of
+Every matrix product state is drawn by `_draw_stack`, a range of
+samples straight into one stack (mps._sample_stack); `draw_mps` is its
+stack of one.  The RMPS branches of `_block_spectra` (the r x d_A
+ascending spectra, each solved once, of the leading-block estimators)
+and of Q draw in index order in chunks of a fixed size rule (`_chunks`),
+each one stack whose reduced states are closed and validated together;
+the pairwise purity draws all r samples as one stack.  The other loops
+go sample by sample: `_dense_states` (the r x d amplitudes of the
+dense-state estimators), `concentration`, and the CUE branches of
+`_block_spectra` and Q.  A report of
 per-sample values is built once, and frozen, by one of two builders:
 `_mean_report` (the mean, or its distance from an exact reference) and
 `_spread_report` (the sample standard deviation).  A source checks its
-boundary against mps.BOUNDARIES and its CUE site dimensions through
+chain through mps._check_chain and its CUE site dimensions through
 dense._validated_dims; `_split_length` owns the leading-block split.
 """
 
@@ -43,8 +44,8 @@ from . import dense
 from .dense import DenseState, DensityMatrix
 from .errors import DimensionError
 from .haar import Seed, as_seed, subseed
-from .mps import BOUNDARIES, LocalObservable, Mps, _block_states, _pair_elements, \
-    _site_states, _Stack, sample_rmps
+from .mps import LocalObservable, Mps, _block_states, _check_chain, _pair_elements, \
+    _sample_stack, _site_states, _Stack
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,7 @@ class RmpsSource:
     boundary: str = "obc"
 
     def __post_init__(self) -> None:
-        if self.n_sites < 1 or self.phys_dim < 1 or self.bond_dim < 1:
-            raise DimensionError(f"invalid source dimensions: {self}")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
+        _check_chain(self.n_sites, self.phys_dim, self.bond_dim, self.boundary)
 
 
 @dataclass(frozen=True)
@@ -134,16 +132,22 @@ class Histogram:
 # -- sampling ---------------------------------------------------------------
 
 
+def _draw_stack(spec: EnsembleSpec, part: slice) -> _Stack:
+    """Samples ``part`` of a matrix product state ensemble as one stack."""
+    src = spec.source
+    return _sample_stack(src.n_sites, src.phys_dim, src.bond_dim,
+                         [subseed(spec.master_seed, i) for i in range(part.start, part.stop)],
+                         src.homogeneous, src.boundary)
+
+
 def draw_mps(spec: EnsembleSpec, index: int) -> Mps:
-    """Sample ``index`` of a matrix product state ensemble."""
+    """Sample ``index`` of a matrix product state ensemble: its stack of one."""
     src = spec.source
     if not isinstance(src, RmpsSource):
         raise TypeError("draw_mps needs a matrix product state source")
     if not 0 <= index < spec.r:
         raise ValueError(f"sample index {index} outside [0, {spec.r})")
-    return sample_rmps(src.n_sites, src.phys_dim, src.bond_dim,
-                       subseed(spec.master_seed, index),
-                       homogeneous=src.homogeneous, boundary=src.boundary)
+    return _draw_stack(spec, slice(index, index + 1)).state(src.homogeneous)
 
 
 def draw_dense(spec: EnsembleSpec, index: int) -> DenseState:
@@ -237,8 +241,8 @@ def average_state_distance(spec: EnsembleSpec, norm: str = "trace") -> EnsembleR
     which has the same spectrum and so the same trace and HS norms.  The
     squared HS norm is closed, sum lam^2 - 2 sum lam a^2 / (r - 1) + |a|^4 / (r - 1)^2,
     and its trace norm comes from the secular equation (dense._trace_norms),
-    so no sample costs an eigensolve.  The a are formed one row at a time,
-    in chunks of a fixed size, so no value depends on the chunk size.
+    so no sample costs an eigensolve.  Each a is its own 1 x d product,
+    batched in chunks of a fixed size, so no value depends on that size.
     """
     metric = _metric(norm)
     r, d = spec.r, total_dim(spec.source)
@@ -298,8 +302,7 @@ def _chunks(spec: EnsembleSpec):
     size = max(1, min(_CHUNK_SAMPLES, _CHUNK_ELEMENTS // per_sample))
     for start in range(0, spec.r, size):
         part = slice(start, min(spec.r, start + size))
-        yield part, _Stack.of((draw_mps(spec, i) for i in range(part.start, part.stop)),
-                              part.stop - part.start)
+        yield part, _draw_stack(spec, part)
 
 
 def _block_spectra(spec: EnsembleSpec, length: int) -> np.ndarray:
@@ -354,7 +357,7 @@ def purity_of_average_via_overlaps(spec: EnsembleSpec) -> EnsembleReport:
         def gram(rows, cols):
             return states[rows].conj() @ states[cols].T
     else:
-        stack = _Stack.of((draw_mps(spec, i) for i in range(r)), r)
+        stack = _draw_stack(spec, slice(0, r))
         gram, pair_elements = stack.gram, stack.pair_elements
     norms, row_sums = np.empty(r), np.zeros(r)
     for start, stop in reversed(_row_blocks(r, pair_elements)):

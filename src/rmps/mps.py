@@ -12,9 +12,10 @@ the physical site plus a bond-space ancilla, which makes every sampled
 tensor set an exact isometry sum_i A^i{}^dag A^i = 1.  Only the chi
 columns a site keeps are ever formed: a sample is one thin QR over the
 stacked Ginibre columns of all its sites and one isometry check, and
-gives bitwise the cut of the full unitaries.  A sample builds one Philox
-generator and re-keys it to each site's subseed before the site's draw
-(haar.rekey), the same streams as one generator per site.
+gives bitwise the cut of the full unitaries.  One sampler,
+_sample_stack, draws a list of seeds straight into the stack the sweeps
+read, re-keying one Philox generator to each draw's subseed (haar.rekey);
+sample_rmps is its stack of one.
 
 Every contraction of ket chains against bra chains (norm, overlap,
 expectation value, block and site reduced states, the Gram block of a
@@ -41,14 +42,15 @@ LocalObservable.check_fits own the closure and observable-fit rules.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
 from .dense import DenseState, DensityMatrix, check_amplitude_cap, check_density_cap
 from .errors import DimensionError
-from .haar import Seed, as_seed, generator, ginibre, haar_isometry, haar_state, \
+from .haar import Seed, generator, ginibre, haar_isometry, haar_state, \
     isometry_defect, rekey, require_unitary, subseed
 
 BOUNDARIES = ("obc", "pbc")
@@ -115,8 +117,7 @@ class Mps:
                 raise DimensionError(f"site {k} tensor shape {t.shape} differs from {shape}")
         if homogeneous and any(t is not tensors[0] for t in tensors):
             raise ValueError("homogeneous states must alias a single tensor set")
-        if boundary not in BOUNDARIES:
-            raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
+        _check_chain(len(tensors), shape[0], shape[1], boundary)
 
         chi = shape[1]
         if boundary == "obc":
@@ -224,54 +225,64 @@ def a_matrices_from_unitary(u: np.ndarray, phys_dim: int, bond_dim: int) -> np.n
     return u.reshape(d, chi, d * chi)[:, :, :chi].copy()
 
 
+def _check_chain(n_sites: int, phys_dim: int, bond_dim: int, boundary: str) -> None:
+    """Raise unless the dimensions are positive integers, numpy ones
+    included, and the boundary is one of BOUNDARIES."""
+    if min(operator.index(v) for v in (n_sites, phys_dim, bond_dim)) < 1:
+        raise DimensionError(f"dimensions must be positive, got N={n_sites}, "
+                             f"D={phys_dim}, chi={bond_dim}")
+    if boundary not in BOUNDARIES:
+        raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
+
+
 def sample_rmps(n_sites: int, phys_dim: int, bond_dim: int, seed: Seed | int,
                 homogeneous: bool = False, boundary: str = "obc") -> Mps:
     """Draw a random matrix product state from Haar-random unitaries.
 
     Site k gets the tensor set a_matrices_from_unitary would cut out of
     haar_unitary(D * chi, subseed(seed, k)); homogeneous states reuse
-    the site-0 set everywhere.  Only the first chi columns of each
-    unitary are formed: one thin QR over the stack of all sites and one
-    isometry check per sample (see _site_tensors).  Open chains fix the
-    left boundary to the first bond basis vector and draw the right
-    boundary Haar-randomly from subseed(seed, n_sites).  The raw state
-    is not normalized; all statistics downstream divide by
-    norm_squared().  Every draw reads one generator, re-keyed to its
-    subseed first.
+    the site-0 set everywhere.  Open chains fix the left boundary to the
+    first bond basis vector and draw the right boundary Haar-randomly
+    from subseed(seed, n_sites).  The raw state is not normalized; all
+    statistics downstream divide by norm_squared().  It is the state of
+    _sample_stack's stack of one.
     """
-    if n_sites < 1:
-        raise DimensionError(f"n_sites must be positive, got {n_sites}")
-    seed = as_seed(seed)
-    rng = generator(seed)
-    if homogeneous:
-        tensors = [_site_tensors(1, phys_dim, bond_dim, seed, rng)[0]] * n_sites
-    else:
-        tensors = list(_site_tensors(n_sites, phys_dim, bond_dim, seed, rng))
+    return _sample_stack(n_sites, phys_dim, bond_dim, [seed], homogeneous,
+                         boundary).state(homogeneous)
+
+
+def _sample_stack(n: int, d: int, chi: int, seeds: Sequence[Seed | int],
+                  homogeneous: bool, boundary: str) -> "_Stack":
+    """The states sample_rmps draws from ``seeds``, with n sites of
+    dimension d and bond dimension chi, stacked in seed order.
+
+    Each site's full Ginibre matrix is drawn from one generator re-keyed
+    to its subseed, so the random stream is that of haar_unitary, and
+    its first chi columns are kept.  Householder QR of those columns
+    gives exactly the first chi columns of the full Q and the leading
+    chi x chi block of R, so one haar_isometry call per state (one thin
+    QR over all its sites and one isometry check) gives bitwise the cut
+    of the full unitaries.  The dimensions and the boundary are checked
+    before the first draw.
+    """
+    _check_chain(n, d, chi, boundary)
+    sets = 1 if homogeneous else n
+    # One block holds every site: with an array per site, pair-overlaps'
+    # Gram temporaries took 5x the page faults and 20% more wall time.
+    block = np.empty((sets, len(seeds), d, chi, chi), dtype=np.complex128)
+    left = right = None
     if boundary == "obc":
-        left = np.zeros(bond_dim, dtype=np.complex128)
-        left[0] = 1.0
-        right = haar_state(bond_dim, rekey(rng, subseed(seed, n_sites)))
-        return Mps(tensors, "obc", left, right, homogeneous=homogeneous)
-    return Mps(tensors, boundary, homogeneous=homogeneous)
-
-
-def _site_tensors(n_sets: int, phys_dim: int, bond_dim: int, seed: Seed,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Tensor sets of sites 0 .. n_sets - 1, shape (n_sets, D, chi, chi).
-
-    Draws each site's full Ginibre matrix from rng re-keyed to
-    subseed(seed, k), so the random stream is that of haar_unitary, and
-    keeps its first chi columns.  Householder QR of those columns gives
-    exactly the first chi columns of the full Q and the leading chi x chi
-    block of R, so one haar_isometry call on the stack yields bitwise
-    the tensors a_matrices_from_unitary cuts out of the full unitaries.
-    """
-    d, chi = int(phys_dim), int(bond_dim)
-    if d < 1 or chi < 1:
-        raise DimensionError(f"dimensions must be positive, got D={d}, chi={chi}")
-    z = np.stack([ginibre(d * chi, rekey(rng, subseed(seed, k)))[:, :chi]
-                  for k in range(n_sets)])
-    return haar_isometry(z).reshape(n_sets, d, chi, chi)
+        left = np.zeros((len(seeds), chi), dtype=np.complex128)
+        left[:, 0] = 1.0
+        right = np.empty((len(seeds), chi), dtype=np.complex128)
+    rng = generator(0)
+    for i, seed in enumerate(seeds):
+        z = np.stack([ginibre(d * chi, rekey(rng, subseed(seed, k)))[:, :chi]
+                      for k in range(sets)])
+        block[:, i] = haar_isometry(z).reshape(sets, d, chi, chi)
+        if right is not None:
+            right[i] = haar_state(chi, rekey(rng, subseed(seed, n)))
+    return _Stack((block[0],) * n if homogeneous else tuple(block), boundary, left, right)
 
 
 def overlap(a: Mps, b: Mps) -> complex:
@@ -310,7 +321,8 @@ class _Stack:
     """States of one shape stacked on a leading sample axis.
 
     Holds the fields the sweeps read from an Mps: ``tensors[k]`` has
-    shape (m, D, chi, chi) and the boundary vectors (m, chi).
+    shape (m, D, chi, chi) and the boundary vectors (m, chi).  The sites
+    of a homogeneous stack alias one array.
     """
 
     tensors: tuple
@@ -319,37 +331,22 @@ class _Stack:
     right_vec: np.ndarray | None
 
     @classmethod
-    def of(cls, states: Iterable[Mps], count: int | None = None) -> "_Stack":
-        """Stack ``count`` states, by default all of a sized ``states``, as
-        they arrive: each state's arrays are copied once, so no state
-        outlives its copy."""
-        count = len(states) if count is None else count
-        for i, m in enumerate(states):
-            if i == 0:
-                # One block holds every site: with an array per site, pair-overlaps'
-                # Gram temporaries took 5x the page faults and 20% more wall time.
-                tensors = list(np.empty((m.n_sites, count) + m.tensors[0].shape,
-                                        dtype=np.complex128))
-                vecs = [None if v is None else np.empty((count,) + v.shape, dtype=v.dtype)
-                        for v in (m.left_vec, m.right_vec)]
-            for out, t in zip(tensors + vecs, m.tensors + [m.left_vec, m.right_vec]):
-                if out is not None:
-                    out[i] = t
-        return cls(tuple(tensors), m.boundary, *vecs)
-
-    @classmethod
     def one(cls, mps: Mps) -> "_Stack":
         """A single state as a stack of one, viewing its arrays."""
-        def single(vec):
-            return None if vec is None else vec[np.newaxis]
-        return cls(tuple(t[np.newaxis] for t in mps.tensors), mps.boundary,
-                   single(mps.left_vec), single(mps.right_vec))
+        vecs = (None if v is None else v[np.newaxis] for v in (mps.left_vec, mps.right_vec))
+        return cls(tuple(t[np.newaxis] for t in mps.tensors), mps.boundary, *vecs)
+
+    def state(self, homogeneous: bool) -> Mps:
+        """The state of a stack of one, viewing its arrays; a homogeneous
+        state aliases its site-0 tensor set."""
+        tensors = [self.tensors[0][0]] * len(self.tensors) if homogeneous \
+            else [t[0] for t in self.tensors]
+        vecs = (None if v is None else v[0] for v in (self.left_vec, self.right_vec))
+        return Mps(tensors, self.boundary, *vecs, homogeneous=homogeneous)
 
     def __getitem__(self, samples: slice) -> "_Stack":
-        def part(vecs):
-            return None if vecs is None else vecs[samples]
-        return _Stack(tuple(t[samples] for t in self.tensors), self.boundary,
-                      part(self.left_vec), part(self.right_vec))
+        vecs = (None if v is None else v[samples] for v in (self.left_vec, self.right_vec))
+        return _Stack(tuple(t[samples] for t in self.tensors), self.boundary, *vecs)
 
     @property
     def bond_dim(self) -> int:

@@ -473,7 +473,7 @@ def test_run_and_validate_share_one_preflight(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("draw_mps", "draw_dense"):
+    for name in ("_draw_stack", "draw_dense"):
         monkeypatch.setattr(ensembles, name, counted(getattr(ensembles, name)))
     for k, (name, params, validate_code, run_code, error) in enumerate(PREFLIGHT):
         case = (name, params)
@@ -502,8 +502,8 @@ def test_observable_fit_is_checked_by_every_caller(tmp_path, monkeypatch, op, si
     the ensemble estimator and the concentration-scan plan, with no
     draw; the last site fits all three."""
     draws = []
-    monkeypatch.setattr(ensembles, "draw_mps",
-                        lambda *a, draw=ensembles.draw_mps: draws.append(a) or draw(*a))
+    monkeypatch.setattr(ensembles, "_draw_stack",
+                        lambda *a, draw=ensembles._draw_stack: draws.append(a) or draw(*a))
     monkeypatch.setitem(PAULI, "t", op)
     obs = LocalObservable((op,), site)
     state = sample_rmps(4, 2, 2, 0)
@@ -554,7 +554,7 @@ def test_empty_grid_is_a_config_error(tmp_path, monkeypatch, capsys, name, param
     """An empty grid exits 2 from validate and from run, before any draw,
     and the run leaves an error manifest and no table."""
     draws = []
-    for fn in ("draw_mps", "draw_dense"):
+    for fn in ("_draw_stack", "draw_dense"):
         monkeypatch.setattr(ensembles, fn, lambda *a, fn=fn: draws.append(fn))
     key = next(iter(params))
     cfg = write_cfg(tmp_path, name, {"r": 5, "params": params})

@@ -242,11 +242,12 @@ def test_exact_subsystem_distance_reuses_the_validation_spectrum(monkeypatch):
     spec = EnsembleSpec(RmpsSource(6, 2, 4), 50, Seed(17))
     want = [trace_distance(ensembles._reduced(spec, i, 2), np.eye(4) / 4)
             for i in range(spec.r)]
-    calls = []
+    solved = []  # matrices solved: a stacked call solves each of its len(a)
     real = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: solved.append(len(a) if a.ndim == 3 else 1) or real(a))
     rep = subsystem_distance_stats(spec, 2)
-    assert len(calls) == spec.r
+    assert sum(solved) == spec.r
     assert np.allclose(rep.per_sample, want, rtol=0.0, atol=1e-12)
 
 
@@ -485,13 +486,7 @@ def test_q_statistics_validation():
 
 def test_q_statistics_rejects_bin_count_before_drawing(monkeypatch):
     spec = EnsembleSpec(RmpsSource(4, 2, 2), 7, Seed(3))
-    calls = []
-
-    def counting_draw(s, i):
-        calls.append(i)
-        return draw_mps(s, i)
-
-    monkeypatch.setattr(ensembles, "draw_mps", counting_draw)
+    calls = counting_draws(monkeypatch)
     with pytest.raises(ValueError):
         q_statistics(spec, bins=0)
     assert calls == []
@@ -546,28 +541,42 @@ def test_moment_comparisons_match_per_order_reports():
             assert np.array_equal(rep.per_sample, want.per_sample)
 
 
+def counting_draws(monkeypatch):
+    """Route every matrix product state draw through a wrapper of the one
+    draw function, ensembles._draw_stack; returns the list of sample
+    indices drawn, in draw order."""
+    calls = []
+    draw = ensembles._draw_stack
+
+    def counting_draw(spec, part):
+        calls.extend(range(part.start, part.stop))
+        return draw(spec, part)
+
+    monkeypatch.setattr(ensembles, "_draw_stack", counting_draw)
+    return calls
+
+
 @pytest.mark.parametrize("estimator, draws", [
     (lambda spec: subsystem_distance_stats(spec, 2), True),
     (lambda spec: moment_comparisons(spec, 4, [2, 3, 4]), True),
     (lambda spec: min_eig_comparison(spec, 4), True),
     (ensembles.average_state_convergence, True),
     (empirical_average_state, True),
+    (q_statistics, True),
+    (purity_of_average_via_overlaps, True),
+    (average_state_distance, True),
+    (lambda spec: ensembles.concentration(spec, LocalObservable((SZ,), 1)), True),
     (lambda spec: moment_comparisons(spec, 4, []), False),
     (lambda spec: moment_comparisons(spec, 4, [2, 0]), False),
     (lambda spec: ensembles.concentration(spec, LocalObservable((np.eye(3),), 0)), False),
 ], ids=["subsystem_distance", "moments", "min_eig", "average_state_convergence",
-        "empirical_average_state", "no_orders", "order_0", "observable_dim"])
+        "empirical_average_state", "q_statistics", "purity_of_average", "average_state_distance",
+        "concentration", "no_orders", "order_0", "observable_dim"])
 def test_estimators_draw_each_sample_at_most_once(monkeypatch, estimator, draws):
-    """Each estimator draws samples 0 .. r-1 once each, and one with an
-    invalid argument raises before its first draw."""
+    """Each estimator draws samples 0 .. r-1 once each, in index order,
+    and one with an invalid argument raises before its first draw."""
     spec = EnsembleSpec(RmpsSource(4, 2, 2), 7, Seed(3))
-    calls = []
-
-    def counting_draw(s, i):
-        calls.append(i)
-        return draw_mps(s, i)
-
-    monkeypatch.setattr(ensembles, "draw_mps", counting_draw)
+    calls = counting_draws(monkeypatch)
     if draws:
         estimator(spec)
         assert calls == list(range(spec.r))
@@ -588,7 +597,7 @@ def test_block_estimators_check_the_cap_before_drawing(monkeypatch, source, esti
     """A leading block beyond the density-matrix cap raises
     CapExceededError before the first sample is drawn."""
     calls = []
-    for fn in ("draw_mps", "draw_dense"):
+    for fn in ("_draw_stack", "draw_dense"):
         monkeypatch.setattr(ensembles, fn, lambda *a, fn=fn: calls.append(fn))
     with pytest.raises(CapExceededError):
         estimator(EnsembleSpec(source, 3, Seed(0)))
@@ -604,7 +613,7 @@ def test_block_split_rejects_nonpositive_d_a(monkeypatch, estimator, d_a):
     """A leading block of dimension below 1 is named as such before the
     first draw."""
     calls = []
-    for fn in ("draw_mps", "draw_dense"):
+    for fn in ("_draw_stack", "draw_dense"):
         monkeypatch.setattr(ensembles, fn, lambda *a, fn=fn: calls.append(fn))
     with pytest.raises(DimensionError, match="d_a must be positive"):
         estimator(EnsembleSpec(RmpsSource(4, 2, 2), 3, Seed(0)), d_a)
@@ -625,13 +634,14 @@ def test_reduced_state_spectra_are_solved_once(monkeypatch):
     real = np.linalg.eigvalsh
     for source in (RmpsSource(4, 2, 2), CueSource((2, 2, 2, 2))):
         spec = EnsembleSpec(source, 7, Seed(3))
-        calls = []
+        solved = []  # matrices solved: a stacked call solves each of its len(a)
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+            patch.setattr(np.linalg, "eigvalsh",
+                          lambda a: solved.append(len(a) if a.ndim == 3 else 1) or real(a))
             moments = moment_comparisons(spec, 4, [2, 3])
-            assert len(calls) == spec.r
+            assert sum(solved) == spec.r
             min_eig = min_eig_comparison(spec, 4)
-            assert len(calls) == 2 * spec.r
+            assert sum(solved) == 2 * spec.r
         rhos = [ensembles._reduced(spec, i, 2).matrix for i in range(spec.r)]
         for m, rep in zip([2, 3], moments):
             assert np.array_equal(rep.per_sample, [purity_moment(rho, m) for rho in rhos])

@@ -413,8 +413,7 @@ def test_pair_step_is_bitwise_the_one_by_one_gram_step(boundary):
     """The paired transfer step gives, for each sample, bitwise the Gram
     step of that sample's ket against its own bra alone, with the
     environment handed over as the sweeps hand it (a transposed view)."""
-    states = [sample_rmps(4, 2, 3, 70 + k, boundary=boundary) for k in range(5)]
-    stack = mps._Stack.of(states)
+    stack = mps._sample_stack(4, 2, 3, [70 + k for k in range(5)], False, boundary)
     rng = np.random.default_rng(7)
     s = 9 if boundary == "pbc" else 1
     env = rng.standard_normal((5, 3, s, 3)) + 1j * rng.standard_normal((5, 3, s, 3))
@@ -437,9 +436,10 @@ def test_stacked_reduced_states_are_bitwise_the_per_state_ones(boundary, homogen
     """The one-site and block states of a stack of five states are bitwise
     those each state gives alone, for blocks at the left end, in the
     bulk and at the right end."""
-    states = [sample_rmps(5, phys_dim, bond_dim, 80 + k, homogeneous=homogeneous,
-                          boundary=boundary) for k in range(5)]
-    stack = mps._Stack.of(states)
+    seeds = [80 + k for k in range(5)]
+    states = [sample_rmps(5, phys_dim, bond_dim, seed, homogeneous=homogeneous,
+                          boundary=boundary) for seed in seeds]
+    stack = mps._sample_stack(5, phys_dim, bond_dim, seeds, homogeneous, boundary)
     sites = mps._site_states(stack)
     assert sites.shape == (5, 5, phys_dim, phys_dim)
     for start, length in ((0, 2), (1, 3), (2, 1), (3, 2)):
@@ -450,21 +450,54 @@ def test_stacked_reduced_states_are_bitwise_the_per_state_ones(boundary, homogen
         assert np.array_equal(rhos, m.site_density_matrices())
 
 
-@pytest.mark.parametrize("boundary", ["obc", "pbc"])
-def test_stack_holds_each_states_arrays_bitwise(boundary):
-    """_Stack.of copies the states, as an iterator of a given count, into
-    one array per site: state i's site-k tensor set at tensors[k][i] and
-    its boundary vectors at row i, bitwise."""
-    states = [sample_rmps(4, 2, 3, 90 + k, boundary=boundary) for k in range(3)]
-    stack = mps._Stack.of(iter(states), 3)
+CHAINS = [("obc", False, 2, 3), ("pbc", False, 2, 3), ("obc", True, 2, 2),
+          ("pbc", True, 2, 2), ("obc", False, 2, 1), ("obc", False, 3, 2)]
+CHAIN_IDS = ["obc", "pbc", "homogeneous-obc", "homogeneous-pbc", "chi1", "qutrit"]
+
+
+@pytest.mark.parametrize("count", [1, 3, 16])
+@pytest.mark.parametrize("boundary, homogeneous, phys_dim, bond_dim", CHAINS, ids=CHAIN_IDS)
+def test_sample_stack_rows_are_bitwise_sample_rmps(count, boundary, homogeneous,
+                                                   phys_dim, bond_dim):
+    """Row i of a stack drawn from ``seeds`` is bitwise sample_rmps(seeds[i]):
+    every site tensor set and both boundary vectors.  Each site is one
+    C-contiguous (samples, D, chi, chi) array, and a homogeneous stack's
+    sites are one array."""
+    seeds = [subseed(90, i) for i in range(count)]
+    stack = mps._sample_stack(4, phys_dim, bond_dim, seeds, homogeneous, boundary)
     assert len(stack.tensors) == 4 and stack.boundary == boundary
-    for k, site in enumerate(stack.tensors):
-        assert site.shape == (3, 2, 3, 3) and site.flags.c_contiguous
-        for i, m in enumerate(states):
-            assert np.array_equal(site[i], m.tensors[k])
-    for name in ("left_vec", "right_vec"):
-        vecs = getattr(stack, name)
-        if boundary == "obc":
-            assert np.array_equal(vecs, [getattr(m, name) for m in states])
-        else:
-            assert vecs is None
+    for site in stack.tensors:
+        assert site.shape == (count, phys_dim, bond_dim, bond_dim) and site.flags.c_contiguous
+        assert not homogeneous or site is stack.tensors[0]
+    for i, seed in enumerate(seeds):
+        m = sample_rmps(4, phys_dim, bond_dim, seed, homogeneous=homogeneous,
+                        boundary=boundary)
+        assert m.homogeneous == homogeneous
+        for site, t in zip(stack.tensors, m.tensors):
+            assert np.array_equal(site[i], t)
+        for name in ("left_vec", "right_vec"):
+            vecs = getattr(stack, name)
+            if boundary == "obc":
+                assert np.array_equal(vecs[i], getattr(m, name))
+            else:
+                assert vecs is None and getattr(m, name) is None
+
+
+@pytest.mark.parametrize("args, kwargs, error", [
+    ((3, 2, 2.5, 0), {"boundary": "pbc"}, TypeError),
+    ((3, 2.7, 2, 0), {}, TypeError),
+    ((3.0, 2, 2, 0), {}, TypeError),
+    ((3, 2, 0, 0), {}, DimensionError),
+    ((3, 2, 2, 0), {"boundary": "open"}, ValueError),
+], ids=["float_chi", "float_d", "float_n", "chi_0", "unknown_boundary"])
+def test_sampler_checks_its_inputs_before_the_first_draw(monkeypatch, args, kwargs, error):
+    """A non-integer or nonpositive dimension and an unknown boundary
+    raise before any Ginibre draw; numpy integers are accepted."""
+    draws = []
+    ginibre = mps.ginibre
+    monkeypatch.setattr(mps, "ginibre", lambda *a: draws.append(a) or ginibre(*a))
+    with pytest.raises(error):
+        sample_rmps(*args, **kwargs)
+    assert draws == []
+    m = sample_rmps(np.int64(3), np.int32(2), np.int64(2), 0, boundary="pbc")
+    assert (m.n_sites, m.phys_dim, m.bond_dim) == (3, 2, 2) and len(draws) == 3
