@@ -26,7 +26,7 @@ resolved config, per-file sha256 checksums and wall time; the manifest
 is written even when the run fails.  Sampling is derived per sample
 index from the master seed, so table bytes are reproducible.  A run is
 one process: --workers is checked and otherwise ignored, and the
-estimators draw matrix product states in chunks sized by fixed
+estimators draw the samples of both sources in chunks sized by fixed
 constants (ensembles._chunks), never derived from it.
 
 Exit codes: 0 success, 2 invalid config or parameters, 3 a size cap

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -54,7 +55,7 @@ def check_min_eig_cap(d_a: int, d_b: int) -> None:
 
 
 def _validated_dims(dims: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+    out = tuple(operator.index(d) for d in dims)
     if len(out) == 0 or any(d < 1 for d in out):
         raise DimensionError(f"site dimensions must be positive integers, got {out}")
     return out
@@ -90,10 +91,15 @@ class DenseState:
         return float(np.linalg.norm(self.amplitudes))
 
     def normalized(self) -> "DenseState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return DenseState(self.dims, self.amplitudes / n)
+        return DenseState(self.dims, _normalized_rows(self.amplitudes[np.newaxis])[0])
+
+
+def _normalized_rows(rows: np.ndarray) -> np.ndarray:
+    """The states in the rows of ``rows``, each divided by its own norm."""
+    norms = np.array([np.linalg.norm(row) for row in rows])
+    if not norms.all():
+        raise ValueError("cannot normalize the zero state")
+    return rows / norms[:, np.newaxis]
 
 
 @dataclass(frozen=True)
@@ -191,9 +197,7 @@ def partial_trace(obj: DenseState | DensityMatrix, keep: Sequence[int]) -> Densi
     check_density_cap(kept_dim)
 
     if isinstance(obj, DenseState):
-        psi = obj.normalized().amplitudes.reshape(dims)
-        a = psi.transpose(keep + traced).reshape(kept_dim, -1)
-        rho = a @ a.conj().T
+        rho = _pure_reductions(_normalized_rows(obj.amplitudes[np.newaxis]), dims, keep)[0]
     else:
         t = obj.matrix.reshape(dims + dims)
         order = keep + traced
@@ -202,6 +206,20 @@ def partial_trace(obj: DenseState | DensityMatrix, keep: Sequence[int]) -> Densi
         t = t.reshape(kept_dim, traced_dim, kept_dim, traced_dim)
         rho = np.einsum("itjt->ij", t)
     return DensityMatrix(tuple(dims[i] for i in keep), rho)
+
+
+def _pure_reductions(rows: np.ndarray, dims: tuple[int, ...], keep: Sequence[int]) -> np.ndarray:
+    """Reduced states, shape (rows, d_keep, d_keep), on the ascending
+    ``keep`` sites of the pure states in the rows, as they stand."""
+    traced = tuple(i for i in range(len(dims)) if i not in keep)
+    psi = rows.reshape(-1, *dims).transpose(0, *(1 + i for i in (*keep, *traced)))
+    a = psi.reshape(len(rows), math.prod(dims[i] for i in keep), -1)
+    return a @ a.conj().swapaxes(-1, -2)
+
+
+def _pure_site_states(rows: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """All one-site reduced states, shape (rows, N, D, D), of the pure states in the rows."""
+    return np.stack([_pure_reductions(rows, dims, (k,)) for k in range(len(dims))], axis=1)
 
 
 def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> float:
@@ -395,9 +413,8 @@ def global_entanglement(state: DenseState) -> float:
         raise DimensionError(f"global entanglement requires qubit sites, got dims {state.dims}")
     if abs(state.norm() - 1.0) > 1e-10:
         raise ValueError("state must be normalized")
-    psi = state.amplitudes.reshape(state.dims)
-    sites = (np.moveaxis(psi, k, 0).reshape(2, -1) for k in range(len(state.dims)))
-    return float(global_entanglement_from_sites(np.stack([t @ t.conj().T for t in sites])))
+    rhos = _pure_site_states(state.amplitudes[np.newaxis], state.dims)
+    return float(global_entanglement_from_sites(rhos)[0])
 
 
 def global_entanglement_from_sites(rhos: np.ndarray) -> np.ndarray:

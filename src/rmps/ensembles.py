@@ -15,21 +15,20 @@ jackknife for statistics that are nonlinear functions of the whole
 sample (state-average distances, the pairwise purity estimator), and
 the fourth-moment delta formula for reported standard deviations.
 
-Every matrix product state is drawn by `_draw_stack`, a range of
-samples straight into one stack (mps._sample_stack); `draw_mps` is its
-stack of one.  The RMPS branches of `_block_spectra` (the r x d_A
-ascending spectra, each solved once, of the leading-block estimators)
-and of Q draw in index order in chunks of a fixed size rule (`_chunks`),
-each one stack whose reduced states are closed and validated together;
-the pairwise purity draws all r samples as one stack.  The other loops
-go sample by sample: `_dense_states` (the r x d amplitudes of the
-dense-state estimators), `concentration`, and the CUE branches of
-`_block_spectra` and Q.  A report of
-per-sample values is built once, and frozen, by one of two builders:
-`_mean_report` (the mean, or its distance from an exact reference) and
-`_spread_report` (the sample standard deviation).  A source checks its
-chain through mps._check_chain and its CUE site dimensions through
-dense._validated_dims; `_split_length` owns the leading-block split.
+Every sample is drawn by `_draw_stack`, a range of samples at once: a
+stack of matrix product states (mps._sample_stack) or a CueSource's rows
+of normalized amplitudes; `draw_mps` and `draw_dense` are its chunks of
+one.  Every estimator reads the samples in index order in chunks of a
+fixed size rule (`_chunks`), each reduced by source in one expression:
+to amplitudes (`_dense_states`), leading-block spectra, each solved once
+(`_block_spectra`), one-site states (Q) or expectation values
+(`concentration`).  The pairwise purity draws all r samples at once.  A
+report of per-sample values is built once, and frozen, by one of two
+builders: `_mean_report` (the mean, or its distance from an exact
+reference) and `_spread_report` (the sample standard deviation).  A
+source checks its chain through mps._check_chain and its CUE site
+dimensions through dense._validated_dims; `_split_length` owns the
+leading-block split.
 """
 
 from __future__ import annotations
@@ -43,9 +42,9 @@ import numpy as np
 from . import dense
 from .dense import DenseState, DensityMatrix
 from .errors import DimensionError
-from .haar import Seed, as_seed, subseed
-from .mps import LocalObservable, Mps, _block_states, _check_chain, _pair_elements, \
-    _sample_stack, _site_states, _Stack
+from .haar import Seed, as_seed, generator, haar_state, rekey, subseed
+from .mps import LocalObservable, Mps, _block_states, _check_chain, _expectations, \
+    _pair_elements, _sample_stack, _site_states, _Stack
 
 
 @dataclass(frozen=True)
@@ -132,32 +131,33 @@ class Histogram:
 # -- sampling ---------------------------------------------------------------
 
 
-def _draw_stack(spec: EnsembleSpec, part: slice) -> _Stack:
-    """Samples ``part`` of a matrix product state ensemble as one stack."""
+def _draw_stack(spec: EnsembleSpec, part: slice, amplitudes: bool = False) -> _Stack | np.ndarray:
+    """Samples ``part`` of an ensemble, sample i from subseed(master_seed, i):
+    a stack of matrix product states, or with ``amplitudes`` (always for a
+    CueSource) the rows of their normalized amplitudes."""
+    if not 0 <= part.start < part.stop <= spec.r:
+        raise ValueError(f"samples [{part.start}, {part.stop}) outside [0, {spec.r})")
     src = spec.source
-    return _sample_stack(src.n_sites, src.phys_dim, src.bond_dim,
-                         [subseed(spec.master_seed, i) for i in range(part.start, part.stop)],
-                         src.homogeneous, src.boundary)
+    seeds = [subseed(spec.master_seed, i) for i in range(part.start, part.stop)]
+    if isinstance(src, CueSource):
+        d, rng = total_dim(src), generator(0)
+        dense.check_amplitude_cap(d)
+        return np.stack([haar_state(d, rekey(rng, seed)) for seed in seeds])
+    stack = _sample_stack(src.n_sites, src.phys_dim, src.bond_dim, seeds,
+                          src.homogeneous, src.boundary)
+    return dense._normalized_rows(stack.amplitudes()) if amplitudes else stack
 
 
 def draw_mps(spec: EnsembleSpec, index: int) -> Mps:
     """Sample ``index`` of a matrix product state ensemble: its stack of one."""
-    src = spec.source
-    if not isinstance(src, RmpsSource):
+    if not isinstance(spec.source, RmpsSource):
         raise TypeError("draw_mps needs a matrix product state source")
-    if not 0 <= index < spec.r:
-        raise ValueError(f"sample index {index} outside [0, {spec.r})")
-    return _draw_stack(spec, slice(index, index + 1)).state(src.homogeneous)
+    return _draw_stack(spec, slice(index, index + 1)).state(spec.source.homogeneous)
 
 
 def draw_dense(spec: EnsembleSpec, index: int) -> DenseState:
-    """Sample ``index`` as a normalized dense state (either source)."""
-    src = spec.source
-    if isinstance(src, CueSource):
-        if not 0 <= index < spec.r:
-            raise ValueError(f"sample index {index} outside [0, {spec.r})")
-        return dense.haar_dense_state(src.site_dims, subseed(spec.master_seed, index))
-    return draw_mps(spec, index).to_dense().normalized()
+    """Sample ``index`` as a normalized dense state (either source): its chunk of one."""
+    return DenseState(source_dims(spec.source), _draw_stack(spec, slice(index, index + 1), True)[0])
 
 
 # -- uncertainty helpers ----------------------------------------------------
@@ -200,16 +200,17 @@ def _stddev_se(values: np.ndarray) -> float:
 
 
 def _dense_states(spec: EnsembleSpec) -> np.ndarray:
-    """The r samples' normalized amplitudes as the rows of an r x d array."""
-    states = np.empty((spec.r, total_dim(spec.source)), dtype=np.complex128)
-    for i in range(spec.r):
-        states[i] = draw_dense(spec, i).amplitudes
+    """The r samples' normalized amplitudes as an r x d array, d within the density cap."""
+    d = total_dim(spec.source)
+    dense.check_density_cap(d)
+    states = np.empty((spec.r, d), dtype=np.complex128)
+    for part, rows in _chunks(spec, amplitudes=True):
+        states[part] = rows
     return states
 
 
 def empirical_average_state(spec: EnsembleSpec) -> DensityMatrix:
     """Mean projector (1/r) sum_i |psi_i><psi_i| over the ensemble."""
-    dense.check_density_cap(total_dim(spec.source))
     states = _dense_states(spec)
     avg = states.T @ states.conj() / spec.r
     return DensityMatrix(source_dims(spec.source), (avg + avg.conj().T) / 2.0)
@@ -217,12 +218,12 @@ def empirical_average_state(spec: EnsembleSpec) -> DensityMatrix:
 
 def average_state_convergence(spec: EnsembleSpec) -> np.ndarray:
     """Trace distances to I/d of the average state of the first k samples, k = 1 .. r."""
-    d = total_dim(spec.source)
-    dense.check_density_cap(d)
+    states = _dense_states(spec)
+    d = states.shape[1]
     target = np.eye(d, dtype=np.complex128) / d
     acc = np.zeros((d, d), dtype=np.complex128)
     dists = np.empty(spec.r)
-    for k, psi in enumerate(_dense_states(spec), 1):
+    for k, psi in enumerate(states, 1):
         acc += np.outer(psi, psi.conj())
         dists[k - 1] = dense.trace_distance(acc / k, target)
     return dists
@@ -246,7 +247,6 @@ def average_state_distance(spec: EnsembleSpec, norm: str = "trace") -> EnsembleR
     """
     metric = _metric(norm)
     r, d = spec.r, total_dim(spec.source)
-    dense.check_density_cap(d)
     states = _dense_states(spec)
     avg = states.T @ states.conj() / r
     target = np.eye(d, dtype=np.complex128) / d
@@ -278,15 +278,8 @@ def _metric(norm: str) -> Callable[[np.ndarray, np.ndarray], float]:
     raise ValueError(f"norm must be 'trace' or 'hs', got {norm!r}")
 
 
-def _reduced(spec: EnsembleSpec, index: int, length: int) -> DensityMatrix:
-    src = spec.source
-    if isinstance(src, RmpsSource):
-        return draw_mps(spec, index).reduced_density_matrix(0, length)
-    return dense.partial_trace(draw_dense(spec, index), range(length))
-
-
-# Samples per chunk of the matrix product state loops, fixed so that no
-# table depends on it: at most _CHUNK_SAMPLES, and at most as many as keep
+# Samples per chunk of every estimator's loop, fixed so that no table
+# depends on it: at most _CHUNK_SAMPLES, and at most as many as keep
 # each batched array of the chunk within _CHUNK_ELEMENTS (256 KiB).  On
 # q-sweep (1 BLAS thread) chunks of 16 samples, with 1 MiB arrays, took
 # the allocation peak from 0.5 to 6.1 MiB (1.6 MiB in chunks of 4) for
@@ -295,28 +288,32 @@ _CHUNK_SAMPLES = 16
 _CHUNK_ELEMENTS = 2**14
 
 
-def _chunks(spec: EnsembleSpec):
-    """(index slice, stack) of each chunk of samples, drawn in index order."""
-    src = spec.source
-    per_sample = src.n_sites * _pair_elements(src.phys_dim, src.bond_dim, src.boundary)
+def _chunks(spec: EnsembleSpec, amplitudes: bool = False):
+    """(index slice, _draw_stack chunk) of each chunk of samples, in index
+    order.  A sample counts its d amplitudes (CueSource) or its sweep arrays,
+    and with ``amplitudes`` the D^N chi (D^N chi^2 on rings) of their build."""
+    src, per_sample = spec.source, total_dim(spec.source)
+    if isinstance(src, RmpsSource):
+        chi = src.bond_dim
+        per_sample = max(src.n_sites * _pair_elements(src.phys_dim, chi, src.boundary),
+                         per_sample * chi ** (1 + (src.boundary == "pbc")) if amplitudes else 0)
     size = max(1, min(_CHUNK_SAMPLES, _CHUNK_ELEMENTS // per_sample))
     for start in range(0, spec.r, size):
         part = slice(start, min(spec.r, start + size))
-        yield part, _draw_stack(spec, part)
+        yield part, _draw_stack(spec, part, amplitudes)
 
 
 def _block_spectra(spec: EnsembleSpec, length: int) -> np.ndarray:
     """The r x d_A ascending spectra of the samples' reduced states on
     the first ``length`` sites: the eigenvalues that validated each."""
-    d_a = math.prod(source_dims(spec.source)[:length])
+    dims = source_dims(spec.source)
+    d_a = math.prod(dims[:length])
     dense.check_density_cap(d_a)
     spectra = np.empty((spec.r, d_a))
-    if isinstance(spec.source, RmpsSource):
-        for part, stack in _chunks(spec):
-            spectra[part] = dense._validated_spectra(_block_states(stack, 0, length))
-    else:
-        for i in range(spec.r):
-            spectra[i] = _reduced(spec, i, length).spectrum
+    for part, chunk in _chunks(spec):
+        spectra[part] = dense._validated_spectra(
+            _block_states(chunk, 0, length) if isinstance(chunk, _Stack)
+            else dense._pure_reductions(dense._normalized_rows(chunk), dims, range(length)))
     return spectra
 
 
@@ -349,16 +346,14 @@ def purity_of_average_via_overlaps(spec: EnsembleSpec) -> EnsembleReport:
     is a leave-one-state-out jackknife.
     """
     r = spec.r
-    src = spec.source
-    if isinstance(src, CueSource):
-        states = _dense_states(spec)
+    states = _draw_stack(spec, slice(0, r))
+    if isinstance(states, _Stack):
+        gram, pair_elements = states.gram, states.pair_elements
+    else:
         pair_elements = 1
 
         def gram(rows, cols):
             return states[rows].conj() @ states[cols].T
-    else:
-        stack = _draw_stack(spec, slice(0, r))
-        gram, pair_elements = stack.gram, stack.pair_elements
     norms, row_sums = np.empty(r), np.zeros(r)
     for start, stop in reversed(_row_blocks(r, pair_elements)):
         g = gram(slice(start, stop), slice(start, r))
@@ -425,12 +420,10 @@ def q_statistics(spec: EnsembleSpec, bins: int = 100
     if bins < 1:
         raise ValueError(f"bin count must be positive, got {bins}")
     qs = np.empty(spec.r)
-    if isinstance(spec.source, RmpsSource):
-        for part, stack in _chunks(spec):
-            qs[part] = dense.global_entanglement_from_sites(_site_states(stack))
-    else:
-        for i in range(spec.r):
-            qs[i] = dense.global_entanglement(draw_dense(spec, i))
+    for part, chunk in _chunks(spec):
+        qs[part] = dense.global_entanglement_from_sites(
+            _site_states(chunk) if isinstance(chunk, _Stack)
+            else dense._pure_site_states(chunk, dims))
     # Q lies in [0, 1] exactly; clip the ~1e-16 roundoff excursions once,
     # so every sample lands in a bin and no statistic leaves [0, 1].
     np.clip(qs, 0.0, 1.0, out=qs)
@@ -519,8 +512,8 @@ def concentration(spec: EnsembleSpec, observable: LocalObservable) -> EnsembleRe
     if spec.r < 2:
         raise ValueError("a standard deviation needs at least two samples")
     vals = np.empty(spec.r)
-    for i in range(spec.r):
-        vals[i] = draw_mps(spec, i).expectation(observable)
+    for part, stack in _chunks(spec):
+        vals[part] = _expectations(stack, observable)
     return _spread_report(spec, f"concentration[n={src.n_sites},chi={src.bond_dim}]", vals)
 
 

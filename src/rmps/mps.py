@@ -32,18 +32,18 @@ folds in the same way, so open chains and rings run the same kernel.
 Contractions never build the full chi^2 x chi^2 transfer matrices
 except in the two functions that expose them; a sweep costs
 O(N D chi^3) per pair on open chains and O(N D chi^5) on rings.  Reduced
-states sweep each state of a stack against itself alone (_pair_step,
-per sample bitwise the 1 x 1 Gram step), then close every site, or
-every block, of the stack in three batched matrix products; a single
-state's reduced states are its stack of one.  BOUNDARIES and
-LocalObservable.check_fits own the closure and observable-fit rules.
+states and expectation values sweep each state of a stack against itself
+alone (_pair_step, per sample bitwise the 1 x 1 Gram step); reduced
+states close every site, or block, in three batched matrix products.  A
+state's reduced states, expectations and amplitudes are its stack of one.
+BOUNDARIES and LocalObservable.check_fits own the closure and fit rules.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -161,19 +161,9 @@ class Mps:
         return float(_gram(one, one)[0, 0].real)
 
     def expectation(self, obs: LocalObservable) -> float:
-        """Normalized expectation value of a product observable.
-
-        The chain is contracted with the observable inserted on its
-        block and divided by <psi|psi>; the roundoff-level imaginary
-        part of the Hermitian expectation is discarded.
-        """
+        """Normalized expectation value of a product observable (_expectations' stack of one)."""
         obs.check_fits(self.n_sites, self.phys_dim)
-        one = _Stack.one(self)
-        norm_sq = _gram(one, one)[0, 0].real
-        if norm_sq <= 0.0:
-            raise ValueError("state has zero norm")
-        site_ops = {obs.start_site + j: op for j, op in enumerate(obs.site_ops)}
-        return float(_gram(one, one, site_ops)[0, 0].real) / norm_sq
+        return float(_expectations(_Stack.one(self), obs)[0])
 
     def reduced_density_matrix(self, start: int, length: int) -> DensityMatrix:
         """Reduced state of ``length`` contiguous sites from ``start``: the
@@ -187,19 +177,8 @@ class Mps:
         return _site_states(_Stack.one(self))[0]
 
     def to_dense(self) -> DenseState:
-        """Dense amplitudes of the raw state (no normalization).
-
-        Assembly holds D^N x chi numbers on open chains and D^N x chi^2
-        on rings.
-        """
-        n, d = self.n_sites, self.phys_dim
-        check_amplitude_cap(d**n)
-        if self.boundary == "obc":
-            left, right = self.left_vec.conj()[:, np.newaxis], self.right_vec[:, np.newaxis]
-        else:
-            left = right = np.eye(self.bond_dim, dtype=np.complex128)
-        psi = _multiply(left.T[np.newaxis, np.newaxis], _Stack.one(self).tensors)[0]
-        return DenseState((d,) * n, (psi * right.T).sum(axis=(1, 2)))
+        """Raw (unnormalized) amplitudes: the stack of one of _Stack.amplitudes."""
+        return DenseState((self.phys_dim,) * self.n_sites, _Stack.one(self).amplitudes()[0])
 
     def max_isometry_defect(self) -> float:
         """Largest deviation of any site from sum_i A^i{}^dag A^i = 1:
@@ -310,10 +289,10 @@ def overlap(a: Mps, b: Mps) -> complex:
 # rides on the bra's site tensors, never on the environment.  A Gram
 # sweep lets the sides swap roles at every site, so each step reads the
 # environment without a copy and its one transpose of a block-sized array
-# sits between the two products.  The reduced states need only the
-# diagonal pairs <psi_p|psi_p> of a stack: _pair_step pairs the two
-# sample axes into one, p, and each of its environments is transposed
-# back before the next step instead (see _environments).
+# sits between the two products.  Reduced states and expectation values
+# need only the diagonal pairs of a stack: _pair_step pairs the two sample
+# axes into one, p.  A paired _gram sweep swaps the sides as the Gram one
+# does; _environments transposes each environment back instead.
 
 
 @dataclass(frozen=True)
@@ -359,6 +338,19 @@ class _Stack:
     def gram(self, rows: slice, cols: slice) -> np.ndarray:
         """Raw overlaps G[m, j] = <state rows[m] | state cols[j]>."""
         return _gram(self[cols], self[rows])
+
+    def amplitudes(self) -> np.ndarray:
+        """Raw amplitudes of every state, shape (samples, D^N): assembly holds
+        D^N x chi numbers per state on open chains and D^N x chi^2 on rings."""
+        n, d, chi = len(self.tensors), self.tensors[0].shape[1], self.bond_dim
+        check_amplitude_cap(d**n)
+        if self.boundary == "obc":
+            left = self.left_vec.conj()[:, np.newaxis, np.newaxis]
+            right = self.right_vec[:, np.newaxis, np.newaxis]
+        else:
+            right = np.eye(chi, dtype=np.complex128)
+            left = np.broadcast_to(right, (len(self.tensors[0]), 1, chi, chi))
+        return (_multiply(left, self.tensors) * right).sum(axis=(2, 3))
 
 
 def _pair_elements(phys_dim: int, bond_dim: int, boundary: str) -> int:
@@ -409,22 +401,30 @@ def _gram_step(x: np.ndarray, env: np.ndarray, y: np.ndarray) -> np.ndarray:
     return t.reshape(q, p, chi_c, s, chi_a)
 
 
-def _gram(ket: _Stack, bra: _Stack, site_ops: dict[int, np.ndarray] | None = None
-          ) -> np.ndarray:
-    """Raw overlaps G[m, j] = <bra m | ket j>, with site_ops[k] applied to
-    the kets' site k: one sweep from the right, closed by L.  The sides
-    swap roles at every site, (x, y) = (ket, conj(bra)) and then
-    (conj(bra), ket), so each step reads the last one's output as is."""
-    kets = list(ket.tensors)
-    for k, op in (site_ops or {}).items():
-        t = kets[k]
-        kets[k] = (op @ t.reshape(*t.shape[:2], -1)).reshape(t.shape)
-    left, env = _boundary(ket, bra)
-    for k, (x, y) in enumerate(zip(reversed(kets), reversed(bra.tensors))):
-        env = _gram_step(x, env, y.conj()) if k % 2 == 0 else _gram_step(y.conj(), env, x)
-    if len(kets) % 2:
-        env = env.transpose(1, 0, 4, 3, 2)
+def _gram(ket: _Stack, bra: _Stack, paired: bool = False) -> np.ndarray:
+    """Raw overlaps G[m, j] = <bra m | ket j>, or <bra p | ket p> if ``paired``
+    (_pair_step, bitwise the 1 x 1 sweep): one sweep from the right, closed
+    by L.  The sides swap roles at every site, (x, y) = (ket, conj(bra)) and
+    then (conj(bra), ket), so each step reads the last one's output as is."""
+    step, flip = (_pair_step, (0, 3, 2, 1)) if paired else (_gram_step, (1, 0, 4, 3, 2))
+    left, env = _boundary(ket, bra, paired)
+    for k, (x, y) in enumerate(zip(reversed(ket.tensors), reversed(bra.tensors))):
+        env = step(x, env, y.conj()) if k % 2 == 0 else step(y.conj(), env, x)
+    if len(ket.tensors) % 2:
+        env = env.transpose(*flip)
     return (env * left).sum(axis=(-3, -2, -1))
+
+
+def _expectations(stack: _Stack, obs: LocalObservable) -> np.ndarray:
+    """<psi_p|O|psi_p> / <psi_p|psi_p> of every state p of a stack by two
+    paired sweeps, discarding the roundoff-level imaginary parts."""
+    kets = list(stack.tensors)
+    for k, op in enumerate(obs.site_ops, obs.start_site):
+        kets[k] = (op @ kets[k].reshape(*kets[k].shape[:2], -1)).reshape(kets[k].shape)
+    norms = _gram(stack, stack, paired=True).real
+    if np.any(norms <= 0.0):
+        raise ValueError("state has zero norm")
+    return _gram(replace(stack, tensors=tuple(kets)), stack, paired=True).real / norms
 
 
 def _pair_step(x: np.ndarray, env: np.ndarray, y: np.ndarray) -> np.ndarray:

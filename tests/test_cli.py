@@ -200,23 +200,28 @@ def test_worker_count_never_affects_outputs(tmp_path):
 
 
 def test_chunk_size_never_affects_outputs(tmp_path, monkeypatch):
-    """The Q and leading-block experiments write byte-identical tables
-    whatever the number of samples per chunk, with r not a multiple of
-    3 so the last chunk is a short one."""
+    """Every chunked experiment writes byte-identical tables whatever the
+    number of samples per chunk, on matrix product state and CUE sources
+    (chi-independence has a CUE row), with r not a multiple of 3 so the
+    last chunk is a short one."""
+    cases = [(name, TINY[name]["params"]) for name in (
+        "q-histogram", "q-vs-chi", "moments-vs-chi", "min-eig-vs-chi", "subsystem-convergence",
+        "chi-independence", "avg-state-convergence", "concentration-scan")]
+    cases += [(name, dict(TINY[name]["params"], source="cue"))
+              for name in ("q-histogram", "bound-comparison")]
     default = ensembles._CHUNK_SAMPLES
     data = {}
     for chunk in (1, 3, default):
         monkeypatch.setattr(ensembles, "_CHUNK_SAMPLES", chunk)
-        for name in ("q-histogram", "q-vs-chi", "moments-vs-chi", "min-eig-vs-chi",
-                     "subsystem-convergence"):
-            body = dict(TINY[name], seed=5)
+        for k, (name, params) in enumerate(cases):
+            body = dict(TINY[name], params=params, seed=5)
             body["r"] += 1 if body["r"] % 3 == 0 else 0
-            out_dir = tmp_path / f"{name}-{chunk}"
-            cfg = write_cfg(tmp_path, name, body, fname=f"{name}.json")
+            out_dir = tmp_path / f"{k}-{chunk}"
+            cfg = write_cfg(tmp_path, name, body, fname=f"{k}.json")
             assert main(["run", str(cfg), "--out", str(out_dir)]) == 0, name
             for path in sorted(out_dir.glob("*.csv")):
-                data.setdefault((name, path.name), []).append(path.read_bytes())
-    assert len(data) == 6
+                data.setdefault((k, name, path.name), []).append(path.read_bytes())
+    assert len(data) == 12
     for key, tables in data.items():
         assert tables[0] == tables[1] == tables[2], key
 
@@ -473,8 +478,7 @@ def test_run_and_validate_share_one_preflight(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("_draw_stack", "draw_dense"):
-        monkeypatch.setattr(ensembles, name, counted(getattr(ensembles, name)))
+    monkeypatch.setattr(ensembles, "_draw_stack", counted(ensembles._draw_stack))
     for k, (name, params, validate_code, run_code, error) in enumerate(PREFLIGHT):
         case = (name, params)
         cfg = write_cfg(tmp_path, name, {"r": 20, "params": params}, fname=f"{k}.json")
@@ -501,9 +505,10 @@ def test_observable_fit_is_checked_by_every_caller(tmp_path, monkeypatch, op, si
     and a site past the last one raise DimensionError from the state,
     the ensemble estimator and the concentration-scan plan, with no
     draw; the last site fits all three."""
-    draws = []
-    monkeypatch.setattr(ensembles, "_draw_stack",
-                        lambda *a, draw=ensembles._draw_stack: draws.append(a) or draw(*a))
+    draws = []  # the sample indices drawn
+    draw = ensembles._draw_stack
+    monkeypatch.setattr(ensembles, "_draw_stack", lambda spec, part, *amplitudes:
+                        draws.extend(range(part.start, part.stop)) or draw(spec, part, *amplitudes))
     monkeypatch.setitem(PAULI, "t", op)
     obs = LocalObservable((op,), site)
     state = sample_rmps(4, 2, 2, 0)
@@ -554,8 +559,7 @@ def test_empty_grid_is_a_config_error(tmp_path, monkeypatch, capsys, name, param
     """An empty grid exits 2 from validate and from run, before any draw,
     and the run leaves an error manifest and no table."""
     draws = []
-    for fn in ("_draw_stack", "draw_dense"):
-        monkeypatch.setattr(ensembles, fn, lambda *a, fn=fn: draws.append(fn))
+    monkeypatch.setattr(ensembles, "_draw_stack", lambda *a: draws.append(a))
     key = next(iter(params))
     cfg = write_cfg(tmp_path, name, {"r": 5, "params": params})
     assert main(["validate", str(cfg)]) == 2

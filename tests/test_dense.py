@@ -27,6 +27,7 @@ from rmps.dense import (
     trace_distance,
     typicality_bound,
 )
+from rmps.ensembles import CueSource
 from rmps.errors import CapExceededError, DimensionError
 from rmps.haar import haar_state, subseed
 
@@ -82,6 +83,23 @@ def test_maximally_mixed():
     rho = maximally_mixed((2, 3))
     assert np.allclose(rho.matrix, np.eye(6) / 6)
     assert np.isclose(purity_moment(rho, 2), 1 / 6)
+
+
+@pytest.mark.parametrize("build", [
+    lambda dims: CueSource(dims).site_dims,
+    lambda dims: DenseState(dims, np.ones(4)).dims,
+    lambda dims: maximally_mixed(dims).dims,
+    lambda dims: haar_dense_state(dims, 0).dims,
+], ids=["CueSource", "DenseState", "maximally_mixed", "haar_dense_state"])
+def test_site_dimensions_must_be_integers(build):
+    """A non-integer site dimension raises TypeError instead of being
+    truncated, a float of integer value included; numpy integers are
+    accepted and stored as Python integers."""
+    for dims in ((2.5, 2.9), (2.7,), (2.0, 2), (np.float64(2.0), 2)):
+        with pytest.raises(TypeError):
+            build(dims)
+    dims = build((np.int64(2), np.int32(2)))
+    assert dims == (2, 2) and all(type(d) is int for d in dims)
 
 
 def test_haar_dense_state_and_cap():

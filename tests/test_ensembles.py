@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rmps import dense, ensembles
-from rmps.dense import DenseState, cue_min_eigenvalue, purity_moment, trace_distance
+from rmps.dense import cue_min_eigenvalue, purity_moment, trace_distance
 from rmps.ensembles import (
     CueSource,
     EnsembleReport,
@@ -240,7 +240,7 @@ def test_exact_subsystem_distance_reuses_the_validation_spectrum(monkeypatch):
     """Against I/d each block state is eigensolved once, by its
     validation, and the distances are those of dense.trace_distance."""
     spec = EnsembleSpec(RmpsSource(6, 2, 4), 50, Seed(17))
-    want = [trace_distance(ensembles._reduced(spec, i, 2), np.eye(4) / 4)
+    want = [trace_distance(draw_mps(spec, i).reduced_density_matrix(0, 2), np.eye(4) / 4)
             for i in range(spec.r)]
     solved = []  # matrices solved: a stacked call solves each of its len(a)
     real = np.linalg.eigvalsh
@@ -412,12 +412,11 @@ def test_purity_estimator_degenerate_ensembles(monkeypatch):
     """Orthogonal samples leave only the 1/r term; identical samples give
     purity exactly 1."""
     spec = EnsembleSpec(CueSource((2,)), 2, Seed(0))
-    basis = [DenseState((2,), np.array([1.0, 0.0])),
-             DenseState((2,), np.array([0.0, 1.0]))]
-    monkeypatch.setattr(ensembles, "draw_dense", lambda s, i: basis[i])
+    basis = np.eye(2, dtype=np.complex128)
+    monkeypatch.setattr(ensembles, "_draw_stack", lambda s, part: basis[part])
     rep = purity_of_average_via_overlaps(spec)
     assert abs(rep.value) < 1e-14  # cross term vanishes: purity = 1/2
-    monkeypatch.setattr(ensembles, "draw_dense", lambda s, i: basis[0])
+    monkeypatch.setattr(ensembles, "_draw_stack", lambda s, part: basis[[0, 0]][part])
     rep = purity_of_average_via_overlaps(spec)
     assert abs(rep.value + 1 / 2 - 1.0) < 1e-14
 
@@ -542,40 +541,56 @@ def test_moment_comparisons_match_per_order_reports():
 
 
 def counting_draws(monkeypatch):
-    """Route every matrix product state draw through a wrapper of the one
-    draw function, ensembles._draw_stack; returns the list of sample
-    indices drawn, in draw order."""
+    """Route every draw through a wrapper of the one draw function,
+    ensembles._draw_stack; returns the list of sample indices drawn, in
+    draw order."""
     calls = []
     draw = ensembles._draw_stack
 
-    def counting_draw(spec, part):
+    def counting_draw(spec, part, *amplitudes):
         calls.extend(range(part.start, part.stop))
-        return draw(spec, part)
+        return draw(spec, part, *amplitudes)
 
     monkeypatch.setattr(ensembles, "_draw_stack", counting_draw)
     return calls
 
 
-@pytest.mark.parametrize("estimator, draws", [
-    (lambda spec: subsystem_distance_stats(spec, 2), True),
-    (lambda spec: moment_comparisons(spec, 4, [2, 3, 4]), True),
-    (lambda spec: min_eig_comparison(spec, 4), True),
-    (ensembles.average_state_convergence, True),
-    (empirical_average_state, True),
-    (q_statistics, True),
-    (purity_of_average_via_overlaps, True),
-    (average_state_distance, True),
-    (lambda spec: ensembles.concentration(spec, LocalObservable((SZ,), 1)), True),
-    (lambda spec: moment_comparisons(spec, 4, []), False),
-    (lambda spec: moment_comparisons(spec, 4, [2, 0]), False),
-    (lambda spec: ensembles.concentration(spec, LocalObservable((np.eye(3),), 0)), False),
-], ids=["subsystem_distance", "moments", "min_eig", "average_state_convergence",
-        "empirical_average_state", "q_statistics", "purity_of_average", "average_state_distance",
-        "concentration", "no_orders", "order_0", "observable_dim"])
+# (estimator, whether it draws) of every estimator, and of the argument
+# errors it raises before its first draw; the last two need an RMPS source
+DRAW_CASES = [
+    pytest.param(lambda spec: subsystem_distance_stats(spec, 2), True, id="subsystem_distance"),
+    pytest.param(lambda spec: moment_comparisons(spec, 4, [2, 3, 4]), True, id="moments"),
+    pytest.param(lambda spec: min_eig_comparison(spec, 4), True, id="min_eig"),
+    pytest.param(ensembles.average_state_convergence, True, id="average_state_convergence"),
+    pytest.param(empirical_average_state, True, id="empirical_average_state"),
+    pytest.param(q_statistics, True, id="q_statistics"),
+    pytest.param(purity_of_average_via_overlaps, True, id="purity_of_average"),
+    pytest.param(average_state_distance, True, id="average_state_distance"),
+    pytest.param(lambda spec: moment_comparisons(spec, 4, []), False, id="no_orders"),
+    pytest.param(lambda spec: moment_comparisons(spec, 4, [2, 0]), False, id="order_0"),
+    pytest.param(lambda spec: ensembles.concentration(spec, LocalObservable((SZ,), 1)), True,
+                 id="concentration"),
+    pytest.param(lambda spec: ensembles.concentration(spec, LocalObservable((np.eye(3),), 0)),
+                 False, id="observable_dim"),
+]
+
+
+@pytest.mark.parametrize("estimator, draws", DRAW_CASES)
 def test_estimators_draw_each_sample_at_most_once(monkeypatch, estimator, draws):
     """Each estimator draws samples 0 .. r-1 once each, in index order,
     and one with an invalid argument raises before its first draw."""
-    spec = EnsembleSpec(RmpsSource(4, 2, 2), 7, Seed(3))
+    check_draws_each_sample_once(monkeypatch, EnsembleSpec(RmpsSource(4, 2, 2), 7, Seed(3)),
+                                 estimator, draws)
+
+
+@pytest.mark.parametrize("estimator, draws", DRAW_CASES[:-2])
+def test_estimators_draw_each_cue_sample_at_most_once(monkeypatch, estimator, draws):
+    """The same on a CueSource, for every estimator that accepts one."""
+    check_draws_each_sample_once(monkeypatch, EnsembleSpec(CueSource((2,) * 4), 7, Seed(3)),
+                                 estimator, draws)
+
+
+def check_draws_each_sample_once(monkeypatch, spec, estimator, draws):
     calls = counting_draws(monkeypatch)
     if draws:
         estimator(spec)
@@ -597,8 +612,7 @@ def test_block_estimators_check_the_cap_before_drawing(monkeypatch, source, esti
     """A leading block beyond the density-matrix cap raises
     CapExceededError before the first sample is drawn."""
     calls = []
-    for fn in ("_draw_stack", "draw_dense"):
-        monkeypatch.setattr(ensembles, fn, lambda *a, fn=fn: calls.append(fn))
+    monkeypatch.setattr(ensembles, "_draw_stack", lambda *a: calls.append(a))
     with pytest.raises(CapExceededError):
         estimator(EnsembleSpec(source, 3, Seed(0)))
     assert calls == []
@@ -613,8 +627,7 @@ def test_block_split_rejects_nonpositive_d_a(monkeypatch, estimator, d_a):
     """A leading block of dimension below 1 is named as such before the
     first draw."""
     calls = []
-    for fn in ("_draw_stack", "draw_dense"):
-        monkeypatch.setattr(ensembles, fn, lambda *a, fn=fn: calls.append(fn))
+    monkeypatch.setattr(ensembles, "_draw_stack", lambda *a: calls.append(a))
     with pytest.raises(DimensionError, match="d_a must be positive"):
         estimator(EnsembleSpec(RmpsSource(4, 2, 2), 3, Seed(0)), d_a)
     assert calls == []
@@ -642,7 +655,10 @@ def test_reduced_state_spectra_are_solved_once(monkeypatch):
             assert sum(solved) == spec.r
             min_eig = min_eig_comparison(spec, 4)
             assert sum(solved) == 2 * spec.r
-        rhos = [ensembles._reduced(spec, i, 2).matrix for i in range(spec.r)]
+        rhos = [draw_mps(spec, i).reduced_density_matrix(0, 2).matrix
+                if isinstance(source, RmpsSource)
+                else dense.partial_trace(draw_dense(spec, i), range(2)).matrix
+                for i in range(spec.r)]
         for m, rep in zip([2, 3], moments):
             assert np.array_equal(rep.per_sample, [purity_moment(rho, m) for rho in rhos])
         assert np.array_equal(min_eig.per_sample,
@@ -741,11 +757,19 @@ def test_report_invariants():
 def test_chunks_draw_in_index_order_within_their_budget():
     """Chunks cover samples 0 .. r-1 in order: _CHUNK_SAMPLES at a time on
     a small open chain, fewer at chi = 16, and one at a time on a ring
-    whose one sample already fills the element budget."""
-    for source, want in ((RmpsSource(4, 2, 2), [16, 4]), (RmpsSource(8, 2, 16), [4, 4, 1]),
-                         (RmpsSource(4, 2, 8, boundary="pbc"), [1, 1])):
+    whose one sample already fills the element budget.  An amplitude
+    chunk also counts the D^N chi (D^N chi^2 on rings) numbers of its
+    build, and a CUE chunk its d amplitudes per sample."""
+    for source, amplitudes, want in (
+            (RmpsSource(4, 2, 2), False, [16, 4]), (RmpsSource(8, 2, 16), False, [4, 4, 1]),
+            (RmpsSource(4, 2, 8, boundary="pbc"), False, [1, 1]),
+            (RmpsSource(10, 2, 4), False, [16, 1]), (RmpsSource(10, 2, 4), True, [4, 4, 1]),
+            (RmpsSource(9, 2, 2, boundary="pbc"), True, [8, 1]),
+            (CueSource((2,) * 4), False, [16, 16, 2]), (CueSource((2,) * 12), True, [4, 1]),
+            (CueSource((2,) * 15), False, [1, 1])):
         spec = EnsembleSpec(source, sum(want), Seed(0))
-        parts = [(part, len(stack.tensors[0])) for part, stack in ensembles._chunks(spec)]
-        assert [size for _, size in parts] == want
+        parts = [(part, len(chunk) if isinstance(chunk, np.ndarray) else len(chunk.tensors[0]))
+                 for part, chunk in ensembles._chunks(spec, amplitudes)]
+        assert [size for _, size in parts] == want, (source, amplitudes)
         assert [i for part, _ in parts for i in range(part.start, part.stop)] == \
             list(range(spec.r))

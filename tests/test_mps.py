@@ -433,9 +433,10 @@ def test_pair_step_is_bitwise_the_one_by_one_gram_step(boundary):
     ids=["obc", "pbc", "homogeneous-obc", "homogeneous-pbc", "chi1-obc", "chi1-pbc", "qutrit"])
 def test_stacked_reduced_states_are_bitwise_the_per_state_ones(boundary, homogeneous,
                                                                phys_dim, bond_dim):
-    """The one-site and block states of a stack of five states are bitwise
-    those each state gives alone, for blocks at the left end, in the
-    bulk and at the right end."""
+    """The one-site and block states, the amplitudes and the expectation
+    values of a stack of five states are bitwise those each state gives
+    alone: blocks and observables at the left end, in the bulk and at the
+    right end.  The paired sweep's norms are bitwise the 1 x 1 Gram sweep's."""
     seeds = [80 + k for k in range(5)]
     states = [sample_rmps(5, phys_dim, bond_dim, seed, homogeneous=homogeneous,
                           boundary=boundary) for seed in seeds]
@@ -448,6 +449,15 @@ def test_stacked_reduced_states_are_bitwise_the_per_state_ones(boundary, homogen
             assert np.array_equal(block, m.reduced_density_matrix(start, length).matrix)
     for m, rhos in zip(states, sites):
         assert np.array_equal(rhos, m.site_density_matrices())
+    for m, psi in zip(states, stack.amplitudes()):
+        assert np.array_equal(psi, m.to_dense().amplitudes)
+    rng = np.random.default_rng(11)
+    h, g = random_hermitian(phys_dim, rng), random_hermitian(phys_dim, rng)
+    for obs in (LocalObservable((h,), 0), LocalObservable((h, g), 1), LocalObservable((g, h), 3)):
+        for m, value in zip(states, mps._expectations(stack, obs)):
+            assert value == m.expectation(obs)
+    assert np.array_equal(mps._gram(stack, stack, paired=True).real,
+                          [m.norm_squared() for m in states])
 
 
 CHAINS = [("obc", False, 2, 3), ("pbc", False, 2, 3), ("obc", True, 2, 2),
