@@ -42,7 +42,7 @@ import numpy as np
 from . import dense
 from .dense import DenseState, DensityMatrix
 from .errors import DimensionError
-from .haar import Seed, as_seed, generator, haar_state, rekey, subseed
+from .haar import Seed, as_seed, generator, haar_state, rekey, subseed, subseed_keys
 from .mps import LocalObservable, Mps, _block_states, _check_chain, _expectations, \
     _pair_elements, _sample_stack, _site_states, _Stack
 
@@ -132,13 +132,14 @@ class Histogram:
 
 
 def _draw_stack(spec: EnsembleSpec, part: slice, amplitudes: bool = False) -> _Stack | np.ndarray:
-    """Samples ``part`` of an ensemble, sample i from subseed(master_seed, i):
-    a stack of matrix product states, or with ``amplitudes`` (always for a
-    CueSource) the rows of their normalized amplitudes."""
+    """Samples ``part`` of an ensemble, sample i from subseed(master_seed, i),
+    the part's seeds one subseed_keys array: a stack of matrix product
+    states, or with ``amplitudes`` (always for a CueSource) the rows of
+    their normalized amplitudes."""
     if not 0 <= part.start < part.stop <= spec.r:
         raise ValueError(f"samples [{part.start}, {part.stop}) outside [0, {spec.r})")
     src = spec.source
-    seeds = [subseed(spec.master_seed, i) for i in range(part.start, part.stop)]
+    seeds = subseed_keys([spec.master_seed], range(part.start, part.stop))[0]
     if isinstance(src, CueSource):
         d, rng = total_dim(src), generator(0)
         dense.check_amplitude_cap(d)
@@ -288,16 +289,17 @@ _CHUNK_SAMPLES = 16
 _CHUNK_ELEMENTS = 2**14
 
 
-def _chunks(spec: EnsembleSpec, amplitudes: bool = False):
+def _chunks(spec: EnsembleSpec, amplitudes: bool = False, d_a: int = 1):
     """(index slice, _draw_stack chunk) of each chunk of samples, in index
     order.  A sample counts its d amplitudes (CueSource) or its sweep arrays,
-    and with ``amplitudes`` the D^N chi (D^N chi^2 on rings) of their build."""
+    with ``amplitudes`` the D^N chi (D^N chi^2 on rings) of their build, and
+    the d_a^2 entries of the block state a block estimator builds from it."""
     src, per_sample = spec.source, total_dim(spec.source)
     if isinstance(src, RmpsSource):
         chi = src.bond_dim
         per_sample = max(src.n_sites * _pair_elements(src.phys_dim, chi, src.boundary),
                          per_sample * chi ** (1 + (src.boundary == "pbc")) if amplitudes else 0)
-    size = max(1, min(_CHUNK_SAMPLES, _CHUNK_ELEMENTS // per_sample))
+    size = max(1, min(_CHUNK_SAMPLES, _CHUNK_ELEMENTS // max(per_sample, d_a**2)))
     for start in range(0, spec.r, size):
         part = slice(start, min(spec.r, start + size))
         yield part, _draw_stack(spec, part, amplitudes)
@@ -310,7 +312,7 @@ def _block_spectra(spec: EnsembleSpec, length: int) -> np.ndarray:
     d_a = math.prod(dims[:length])
     dense.check_density_cap(d_a)
     spectra = np.empty((spec.r, d_a))
-    for part, chunk in _chunks(spec):
+    for part, chunk in _chunks(spec, d_a=d_a):
         spectra[part] = dense._validated_spectra(
             _block_states(chunk, 0, length) if isinstance(chunk, _Stack)
             else dense._pure_reductions(dense._normalized_rows(chunk), dims, range(length)))

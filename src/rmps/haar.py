@@ -11,11 +11,15 @@ whole sample: ``rekey`` resets it to the start of the stream a fresh
 ``generator(seed)`` would give, and a sampler passes it in place of the
 seed of each draw.  Re-keying costs a fifth of building a generator,
 whose construction also draws OS entropy that the key then overrides.
+A sampler derives all its keys in one ``subseed_keys`` pass over uint64
+arrays, and ``rekey`` takes such a key as it is.  Each Ginibre matrix or
+Haar state is one ``standard_normal`` draw, the real parts first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,9 +29,10 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64 increment
 
 
-def _mix64(x: int) -> int:
-    """splitmix64 finalizer; a bijection on 64-bit integers."""
-    x &= _MASK64
+def _mix64(x):
+    """splitmix64 finalizer; a bijection on 64-bit integers, applied to
+    a Python int or elementwise to a uint64 array."""
+    x = x & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
@@ -65,6 +70,16 @@ def subseed(seed: Seed | int, index: int) -> Seed:
     return Seed(_mix64((parent.value + (index + 1) * _GAMMA) & _MASK64))
 
 
+def subseed_keys(seeds: Sequence[Seed | int] | np.ndarray, indices: Sequence[int]) -> np.ndarray:
+    """The (len(seeds), len(indices)) uint64 array of subseed(s, k).value
+    for each seed s and index k: one splitmix64 pass over arrays, never
+    over numpy scalars, whose overflow warns."""
+    if not isinstance(seeds, np.ndarray):
+        seeds = [as_seed(s).value for s in seeds]
+    steps = (np.asarray(indices, dtype=np.uint64) + 1) * _GAMMA
+    return _mix64(np.asarray(seeds, dtype=np.uint64).reshape(-1, 1) + steps)
+
+
 def generator(seed: Seed | int | np.random.Generator) -> np.random.Generator:
     """Counter-based random generator keyed by the seed; a Generator
     passes through unchanged."""
@@ -76,13 +91,15 @@ def generator(seed: Seed | int | np.random.Generator) -> np.random.Generator:
 _ZEROS4 = np.zeros(4, dtype=np.uint64)
 
 
-def rekey(rng: np.random.Generator, seed: Seed | int) -> np.random.Generator:
+def rekey(rng: np.random.Generator, seed: Seed | int | np.uint64) -> np.random.Generator:
     """Reset a Philox generator to key [seed, 0], counter 0 and an empty
     buffer, and return it: bitwise the stream generator(seed) starts,
-    whatever the generator drew before."""
+    whatever the generator drew before.  A uint64 key of subseed_keys
+    is used as it is."""
+    key = seed if isinstance(seed, np.uint64) else as_seed(seed).value
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZEROS4, "key": np.array([as_seed(seed).value, 0], dtype=np.uint64)},
+        "state": {"counter": _ZEROS4, "key": (key, 0)},
         "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return rng
@@ -97,8 +114,7 @@ def ginibre(n: int, seed: Seed | int | np.random.Generator) -> np.ndarray:
     """
     if n < 1:
         raise DimensionError(f"matrix dimension must be positive, got {n}")
-    rng = generator(seed)
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return _complex_normals((n, n), generator(seed))
 
 
 def haar_unitary(n: int, seed: Seed | int) -> np.ndarray:
@@ -136,9 +152,15 @@ def haar_state(n: int, seed: Seed | int | np.random.Generator) -> np.ndarray:
     """
     if n < 1:
         raise DimensionError(f"state dimension must be positive, got {n}")
-    rng = generator(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = _complex_normals((n,), generator(seed))
     return v / np.linalg.norm(v)
+
+
+def _complex_normals(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Standard complex Gaussians from one draw: bitwise x + 1j * y of two."""
+    z = np.empty(shape, dtype=np.complex128)
+    z.real, z.imag = rng.standard_normal((2, *shape))
+    return z
 
 
 def require_unitary(u: np.ndarray) -> None:

@@ -14,8 +14,9 @@ columns a site keeps are ever formed: a sample is one thin QR over the
 stacked Ginibre columns of all its sites and one isometry check, and
 gives bitwise the cut of the full unitaries.  One sampler,
 _sample_stack, draws a list of seeds straight into the stack the sweeps
-read, re-keying one Philox generator to each draw's subseed (haar.rekey);
-sample_rmps is its stack of one.
+read, re-keying one Philox generator (haar.rekey) to each draw's key, all
+of them derived in one array pass (haar.subseed_keys); sample_rmps is
+its stack of one.
 
 Every contraction of ket chains against bra chains (norm, overlap,
 expectation value, block and site reduced states, the Gram block of a
@@ -51,7 +52,7 @@ import numpy as np
 from .dense import DenseState, DensityMatrix, check_amplitude_cap, check_density_cap
 from .errors import DimensionError
 from .haar import Seed, generator, ginibre, haar_isometry, haar_state, \
-    isometry_defect, rekey, require_unitary, subseed
+    isometry_defect, rekey, require_unitary, subseed_keys
 
 BOUNDARIES = ("obc", "pbc")
 
@@ -230,14 +231,16 @@ def sample_rmps(n_sites: int, phys_dim: int, bond_dim: int, seed: Seed | int,
                          boundary).state(homogeneous)
 
 
-def _sample_stack(n: int, d: int, chi: int, seeds: Sequence[Seed | int],
+def _sample_stack(n: int, d: int, chi: int, seeds: Sequence[Seed | int] | np.ndarray,
                   homogeneous: bool, boundary: str) -> "_Stack":
     """The states sample_rmps draws from ``seeds``, with n sites of
     dimension d and bond dimension chi, stacked in seed order.
 
-    Each site's full Ginibre matrix is drawn from one generator re-keyed
-    to its subseed, so the random stream is that of haar_unitary, and
-    its first chi columns are kept.  Householder QR of those columns
+    One subseed_keys pass gives subseed(seed, k) of every seed at each
+    site k and at k = n for the right boundary.  Each site's full Ginibre
+    matrix is drawn from one generator re-keyed to its key, so the random
+    stream is that of haar_unitary, and its first chi columns go into one
+    buffer that every sample reuses.  Householder QR of those columns
     gives exactly the first chi columns of the full Q and the leading
     chi x chi block of R, so one haar_isometry call per state (one thin
     QR over all its sites and one isometry check) gives bitwise the cut
@@ -254,13 +257,15 @@ def _sample_stack(n: int, d: int, chi: int, seeds: Sequence[Seed | int],
         left = np.zeros((len(seeds), chi), dtype=np.complex128)
         left[:, 0] = 1.0
         right = np.empty((len(seeds), chi), dtype=np.complex128)
+    keys = subseed_keys(seeds, range(sets) if right is None else [*range(sets), n])
+    z = np.empty((sets, d * chi, chi), dtype=np.complex128)
     rng = generator(0)
-    for i, seed in enumerate(seeds):
-        z = np.stack([ginibre(d * chi, rekey(rng, subseed(seed, k)))[:, :chi]
-                      for k in range(sets)])
+    for i, sample in enumerate(keys):
+        for k in range(sets):
+            z[k] = ginibre(d * chi, rekey(rng, sample[k]))[:, :chi]
         block[:, i] = haar_isometry(z).reshape(sets, d, chi, chi)
         if right is not None:
-            right[i] = haar_state(chi, rekey(rng, subseed(seed, n)))
+            right[i] = haar_state(chi, rekey(rng, sample[sets]))
     return _Stack((block[0],) * n if homogeneous else tuple(block), boundary, left, right)
 
 

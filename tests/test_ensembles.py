@@ -754,12 +754,14 @@ def test_report_invariants():
     assert np.isclose(rep.stderr, rep.per_sample.std(ddof=1) / np.sqrt(60))
 
 
-def test_chunks_draw_in_index_order_within_their_budget():
+def test_chunks_draw_in_index_order_within_their_budget(monkeypatch):
     """Chunks cover samples 0 .. r-1 in order: _CHUNK_SAMPLES at a time on
     a small open chain, fewer at chi = 16, and one at a time on a ring
     whose one sample already fills the element budget.  An amplitude
     chunk also counts the D^N chi (D^N chi^2 on rings) numbers of its
-    build, and a CUE chunk its d amplitudes per sample."""
+    build, and a CUE chunk its d amplitudes per sample.  A block
+    estimator's chunk also counts the d_A^2 entries of each block state,
+    one sample at a time at d_A = 256."""
     for source, amplitudes, want in (
             (RmpsSource(4, 2, 2), False, [16, 4]), (RmpsSource(8, 2, 16), False, [4, 4, 1]),
             (RmpsSource(4, 2, 8, boundary="pbc"), False, [1, 1]),
@@ -773,3 +775,13 @@ def test_chunks_draw_in_index_order_within_their_budget():
         assert [size for _, size in parts] == want, (source, amplitudes)
         assert [i for part, _ in parts for i in range(part.start, part.stop)] == \
             list(range(spec.r))
+    for source, d_a, want in ((RmpsSource(8, 2, 2), 8, [16, 1]), (RmpsSource(8, 2, 2), 64, [4, 1]),
+                              (RmpsSource(8, 2, 2), 256, [1, 1]), (CueSource((2,) * 8), 256, [1, 1])):
+        spec = EnsembleSpec(source, sum(want), Seed(0))
+        sizes = [part.stop - part.start for part, _ in ensembles._chunks(spec, d_a=d_a)]
+        assert sizes == want, (source, d_a)
+    parts, draw = [], ensembles._draw_stack
+    monkeypatch.setattr(ensembles, "_draw_stack",
+                        lambda spec, part, *a: parts.append(part) or draw(spec, part, *a))
+    subsystem_distance_stats(EnsembleSpec(RmpsSource(8, 2, 2), 2, Seed(0)), 8)
+    assert parts == [slice(0, 1), slice(1, 2)]

@@ -1,5 +1,7 @@
 """Tests for the seedable Haar-random sources."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from rmps.haar import (
     rekey,
     require_unitary,
     subseed,
+    subseed_keys,
 )
 
 
@@ -56,6 +59,37 @@ def test_subseed_determinism_and_chaining():
     assert grandchild != subseed(subseed(42, 5), 3)
     with pytest.raises(ValueError):
         subseed(42, -1)
+
+
+def test_subseed_keys_are_the_subseed_values():
+    """The vectorised keys equal subseed(s, k).value for the extreme seeds,
+    random ones and indices up to 2^64 - 1, and never warn: the splitmix64
+    arithmetic wraps on arrays, not on numpy scalars."""
+    seeds = [0, 1, 2**63, 2**64 - 1]
+    seeds += [int(s) for s in np.random.default_rng(3).integers(0, 2**64, 20, dtype=np.uint64)]
+    indices = [0, 1, 2, 7, 1000, 2**32, 2**63, 2**64 - 2, 2**64 - 1]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        keys = subseed_keys([Seed(s) for s in seeds], indices)
+        assert np.array_equal(subseed_keys(np.array(seeds, dtype=np.uint64), indices), keys)
+        assert np.array_equal(subseed_keys(seeds, indices), keys)
+    assert keys.dtype == np.uint64 and keys.shape == (len(seeds), len(indices))
+    for i, s in enumerate(seeds):
+        for j, k in enumerate(indices):
+            assert int(keys[i, j]) == subseed(s, k).value, (s, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 32])
+def test_one_draw_per_matrix_is_the_two_draw_formula(n):
+    """ginibre and haar_state draw their normals in one call, bitwise the
+    real-then-imaginary formula of two draws on a fresh generator."""
+    for s in range(100):
+        g = generator(s)
+        z = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+        g = generator(s)
+        v = g.standard_normal(n) + 1j * g.standard_normal(n)
+        assert ginibre(n, s).tobytes() == z.tobytes()
+        assert haar_state(n, s).tobytes() == (v / np.linalg.norm(v)).tobytes()
 
 
 def test_generator_deterministic():

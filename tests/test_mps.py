@@ -1,9 +1,11 @@
 """Tests for the matrix product state engine."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from rmps import mps
+from rmps import haar, mps
 from rmps.dense import DensityMatrix
 from rmps.errors import CapExceededError, DimensionError
 from rmps.haar import Seed, haar_state, haar_unitary, subseed
@@ -148,6 +150,28 @@ def test_sample_rmps_builds_one_philox_per_call(monkeypatch):
         built.clear()
         sample_rmps(6, 2, 3, 17, homogeneous=homogeneous, boundary=boundary)
         assert len(built) == 1, (homogeneous, boundary)
+
+
+@pytest.mark.parametrize("boundary, homogeneous", [("obc", False), ("pbc", False),
+                                                   ("obc", True), ("pbc", True)],
+                         ids=["obc", "pbc", "homogeneous-obc", "homogeneous-pbc"])
+def test_sampler_derives_every_key_of_a_stack_at_once(monkeypatch, boundary, homogeneous):
+    """_sample_stack calls subseed 0 times and re-keys its generator once
+    per draw: samples x (sets + 1 on open chains), sets being 1 on a
+    homogeneous chain and the site count otherwise."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(haar, "subseed", counted("subseed", haar.subseed))
+    monkeypatch.setattr(mps, "subseed", counted("subseed", haar.subseed), raising=False)
+    monkeypatch.setattr(mps, "rekey", counted("rekey", mps.rekey))
+    mps._sample_stack(5, 2, 3, [Seed(4), 5, 2**64 - 1], homogeneous, boundary)
+    sets = 1 if homogeneous else 5
+    assert calls == Counter({"rekey": 3 * (sets + (boundary == "obc"))})
 
 
 def test_sample_rmps_homogeneous_aliases_one_tensor():
