@@ -51,7 +51,7 @@ from . import __version__, dense, ensembles
 from .ensembles import CueSource, EnsembleSpec, RmpsSource
 from .errors import CapExceededError, DimensionError
 from .haar import Seed, subseed
-from .mps import LocalObservable, _pair_elements
+from .mps import LocalObservable, _end_elements, _end_sites, _pair_elements
 
 PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
@@ -609,16 +609,23 @@ def cost_estimate(cfg: RunConfig) -> str:
     work outside its ensembles.  Memory: the largest dense matrix or the
     r samples of the largest ensemble, with four arrays of its largest
     Gram block on top for pairwise estimators (a step's input
-    environment, its two products and the boundary pair).
+    environment, its two products and the boundary pair), and on tensor
+    ensembles the partial states of the two chain ends the Gram blocks
+    multiply out, D^K chi s numbers per sample and end (s = 1 on open
+    chains, chi on rings).
     """
     planned = plan(cfg)
     units, mem_bytes = planned.extra_units, 16 * planned.dense_dim**2
     for spec in planned.specs:
         src = spec.source
+        ends = 0
         if isinstance(src, RmpsSource):
-            pair = _pair_elements(src.phys_dim, src.bond_dim, src.boundary)
-            held = src.n_sites * src.phys_dim * src.bond_dim**2
-            sweep = src.n_sites * pair * src.bond_dim
+            d, chi = src.phys_dim, src.bond_dim
+            pair = _pair_elements(d, chi, src.boundary)
+            held = src.n_sites * d * chi**2
+            sweep = src.n_sites * pair * chi
+            ends = _end_elements(d, chi, src.boundary,
+                                 _end_sites(src.n_sites, d, chi, src.boundary))
         else:
             held = sweep = ensembles.total_dim(src)
             pair = 1
@@ -626,6 +633,7 @@ def cost_estimate(cfg: RunConfig) -> str:
         units += (spec.r + pairs) * sweep
         mem = 16 * spec.r * held
         if planned.pairwise:
+            mem += 16 * spec.r * ends
             mem += 4 * 16 * pair * max((stop - start) * (spec.r - start) for start, stop
                                        in ensembles._row_blocks(spec.r, pair))
         mem_bytes = max(mem_bytes, mem)

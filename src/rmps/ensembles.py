@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -44,7 +45,7 @@ from .dense import DenseState, DensityMatrix
 from .errors import DimensionError
 from .haar import Seed, as_seed, generator, haar_state, rekey, subseed, subseed_keys
 from .mps import LocalObservable, Mps, _block_states, _check_chain, _expectations, \
-    _pair_elements, _sample_stack, _site_states, _Stack
+    _pair_block, _pair_elements, _sample_stack, _site_states, _Stack
 
 
 @dataclass(frozen=True)
@@ -342,20 +343,20 @@ def purity_of_average_via_overlaps(spec: EnsembleSpec) -> EnsembleReport:
     Never materializes dense states for tensor ensembles, and never the
     r x r overlap matrix: the upper triangle is swept in row blocks,
     each one Gram block G[i, j] = <psi_i|psi_j> of its rows against
-    every column j >= its first row (one contraction sweep for tensor
-    states, one matrix product for dense ones).  The blocks run last to
-    first, so the norms n_i come from their diagonals.  The uncertainty
-    is a leave-one-state-out jackknife.
+    every column j >= its first row.  For tensor states that is
+    _Stack.gram: a sweep over the middle of the chain between the pair
+    products of its two ends, each end multiplied out once for all
+    blocks.  For dense ones it is one mps._pair_block product, the chain
+    with no middle and a single end of all d amplitudes.  The blocks run
+    last to first, so the norms n_i come from their diagonals.  The
+    uncertainty is a leave-one-state-out jackknife.
     """
     r = spec.r
     states = _draw_stack(spec, slice(0, r))
     if isinstance(states, _Stack):
         gram, pair_elements = states.gram, states.pair_elements
     else:
-        pair_elements = 1
-
-        def gram(rows, cols):
-            return states[rows].conj() @ states[cols].T
+        gram, pair_elements = partial(_pair_block, states), 1
     norms, row_sums = np.empty(r), np.zeros(r)
     for start, stop in reversed(_row_blocks(r, pair_elements)):
         g = gram(slice(start, stop), slice(start, r))
@@ -372,11 +373,14 @@ def purity_of_average_via_overlaps(spec: EnsembleSpec) -> EnsembleReport:
     return EnsembleReport(spec, "purity_of_average_cross_term", cross, se)
 
 
-# Element budget of one Gram block's largest array, 1 MiB of complex
-# numbers.  Of 2^15, 2^16 and 2^17 it was the fastest on open chains and
-# rings at chi 2 to 8 (1 BLAS thread, 2-vCPU Xeon with 4 MiB of L2), and
-# it bounds the estimator's extra memory whatever r is.
-_GRAM_BLOCK_ELEMENTS = 2**16
+# Element budget of one Gram block's largest array, 512 KiB of complex
+# numbers; it bounds the estimator's extra memory whatever r is.  With
+# the chain ends multiplied out (1 BLAS thread, 2-vCPU Xeon with 4 MiB of
+# L2, cli.run at three checkout paths): on pair-overlaps 2^15 took
+# 0.50-0.68 s, 42.9-43.2 MiB and 7.7k minor faults, 2^16 0.60-1.01 s,
+# 45.0-45.4 MiB and 111k faults, 2^14 0.84-1.16 s; on a ring (n=10, chi=2,
+# r=400) all three took 0.22-0.39 s, at 40.1 MiB and 53k faults for 2^15.
+_GRAM_BLOCK_ELEMENTS = 2**15
 
 
 def _row_blocks(r: int, pair_elements: int) -> list[tuple[int, int]]:

@@ -37,6 +37,11 @@ states and expectation values sweep each state of a stack against itself
 alone (_pair_step, per sample bitwise the 1 x 1 Gram step); reduced
 states close every site, or block, in three batched matrix products.  A
 state's reduced states, expectations and amplitudes are its stack of one.
+The Gram blocks of a stack sweep only the middle of the chain: each end's
+partial states are multiplied out once per stack (_end_states), and the
+pair of an end against any block is one matrix product over its
+physical strings (_pair_block), which starts or closes the sweep in
+place of a boundary pair.
 BOUNDARIES and LocalObservable.check_fits own the closure and fit rules.
 """
 
@@ -45,6 +50,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -340,22 +346,45 @@ class _Stack:
     def pair_elements(self) -> int:
         return _pair_elements(self.tensors[0].shape[1], self.bond_dim, self.boundary)
 
+    @cached_property
+    def _ends(self) -> tuple[tuple, np.ndarray, np.ndarray]:
+        """The middle sites and the _end_states of the first K_l and last
+        K_r sites (_end_sites) of every sample, built once per stack."""
+        n = len(self.tensors)
+        n_left, n_right = _end_sites(n, self.tensors[0].shape[1], self.bond_dim, self.boundary)
+        left = None if self.left_vec is None else self.left_vec.conj()
+        return (self.tensors[n_left:n - n_right],
+                _end_states(self._edge(left), self.tensors[:n_left]),
+                _end_states(self._edge(self.right_vec),
+                            [t.swapaxes(-1, -2) for t in self.tensors[::-1][:n_right]]))
+
     def gram(self, rows: slice, cols: slice) -> np.ndarray:
-        """Raw overlaps G[m, j] = <state rows[m] | state cols[j]>."""
-        return _gram(self[cols], self[rows])
+        """Raw overlaps G[m, j] = <state rows[m] | state cols[j]>: the right
+        end's _pair_block starts a sweep over the middle sites (if any) and
+        the left end's closes it, D^K chi^2 s^2 units per pair for an end of
+        K sites against 2 D chi^3 s^2 per swept site (s = 1 on open chains,
+        chi on rings)."""
+        middle, left, right = self._ends
+        env = _sweep(_pair_env(_pair_block(right, rows, cols)),
+                     [t[cols] for t in middle], [t[rows] for t in middle])
+        return (env * _pair_env(_pair_block(left, rows, cols))).sum(axis=(-3, -2, -1))
+
+    def _edge(self, vec: np.ndarray | None) -> np.ndarray:
+        """What a chain end starts from, m[p, 1, s, a]: a boundary vector
+        on open chains (s of size 1), the identity on the bond on rings."""
+        if vec is not None:
+            return vec[:, np.newaxis, np.newaxis]
+        chi = self.bond_dim
+        return np.broadcast_to(np.eye(chi, dtype=np.complex128),
+                               (len(self.tensors[0]), 1, chi, chi))
 
     def amplitudes(self) -> np.ndarray:
         """Raw amplitudes of every state, shape (samples, D^N): assembly holds
         D^N x chi numbers per state on open chains and D^N x chi^2 on rings."""
-        n, d, chi = len(self.tensors), self.tensors[0].shape[1], self.bond_dim
-        check_amplitude_cap(d**n)
-        if self.boundary == "obc":
-            left = self.left_vec.conj()[:, np.newaxis, np.newaxis]
-            right = self.right_vec[:, np.newaxis, np.newaxis]
-        else:
-            right = np.eye(chi, dtype=np.complex128)
-            left = np.broadcast_to(right, (len(self.tensors[0]), 1, chi, chi))
-        return (_multiply(left, self.tensors) * right).sum(axis=(2, 3))
+        check_amplitude_cap(self.tensors[0].shape[1] ** len(self.tensors))
+        left = None if self.left_vec is None else self.left_vec.conj()
+        return (_multiply(self._edge(left), self.tensors)
+                * self._edge(self.right_vec)).sum(axis=(2, 3))
 
 
 def _pair_elements(phys_dim: int, bond_dim: int, boundary: str) -> int:
@@ -408,16 +437,79 @@ def _gram_step(x: np.ndarray, env: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _gram(ket: _Stack, bra: _Stack, paired: bool = False) -> np.ndarray:
     """Raw overlaps G[m, j] = <bra m | ket j>, or <bra p | ket p> if ``paired``
-    (_pair_step, bitwise the 1 x 1 sweep): one sweep from the right, closed
-    by L.  The sides swap roles at every site, (x, y) = (ket, conj(bra)) and
-    then (conj(bra), ket), so each step reads the last one's output as is."""
-    step, flip = (_pair_step, (0, 3, 2, 1)) if paired else (_gram_step, (1, 0, 4, 3, 2))
+    (_pair_step, bitwise the 1 x 1 sweep): one sweep from R over every
+    site, closed by L."""
     left, env = _boundary(ket, bra, paired)
-    for k, (x, y) in enumerate(zip(reversed(ket.tensors), reversed(bra.tensors))):
+    return (_sweep(env, ket.tensors, bra.tensors, paired) * left).sum(axis=(-3, -2, -1))
+
+
+def _sweep(env: np.ndarray, kets, bras, paired: bool = False) -> np.ndarray:
+    """Absorb the sites of kets and bras into env from the right, in the
+    [m, j, ket bond, s, bra bond] layout in and out ([p, ...] if ``paired``).
+    The sides swap roles at every site, (x, y) = (ket, conj(bra)) and then
+    (conj(bra), ket), so each step reads the last one's output as is."""
+    step, flip = (_pair_step, (0, 3, 2, 1)) if paired else (_gram_step, (1, 0, 4, 3, 2))
+    for k, (x, y) in enumerate(zip(reversed(kets), reversed(bras))):
         env = step(x, env, y.conj()) if k % 2 == 0 else step(y.conj(), env, x)
-    if len(ket.tensors) % 2:
-        env = env.transpose(*flip)
-    return (env * left).sum(axis=(-3, -2, -1))
+    return env.transpose(*flip) if len(kets) % 2 else env
+
+
+# -- the chain ends of a Gram block -----------------------------------------
+#
+# An end of K sites holds per sample its partial state for each of its
+# D^K physical strings x, v[s, a, x]: open at the cut bond a, and on the
+# far side the boundary vector absorbed (s of size 1) on open chains or the
+# ring's bond open (s of size chi).  A right end is multiplied out on
+# transposed matrices, so both ends share the layout.  sum_x conj(v_m) v_j
+# is the environment a sweep over the end would build, with the bond pair
+# (s_ket, s_bra) as its boundary axis.
+
+
+def _end_sites(n: int, d: int, chi: int, boundary: str) -> tuple[int, int]:
+    """Sites (K_l, K_r) a Gram block multiplies out at each end of a chain.
+
+    An end's _pair_block costs D^k chi^2 s^2 units per pair and replaces k
+    steps of 2 D chi^3 s^2, so K is the largest k with D^(k-1) <= 2 k chi
+    (5 for qubits at chi = 2).  The larger end, the right one on a tie,
+    then gives up sites until K_l + K_r <= N and the two ends hold no more
+    numbers (_end_elements) than the N D chi^2 of the site tensors.
+    """
+    k = 1
+    while k < n and d**k <= 2 * (k + 1) * chi:
+        k += 1
+    ends = [k, k]
+    while max(ends) > 0 and (sum(ends) > n or
+                             _end_elements(d, chi, boundary, ends) > n * d * chi**2):
+        ends[ends[0] <= ends[1]] -= 1
+    return ends[0], ends[1]
+
+
+def _end_elements(d: int, chi: int, boundary: str, ends: Sequence[int]) -> int:
+    """Numbers per sample of the _end_states of two chain ends of ends[0]
+    and ends[1] sites: D^K chi s each, s = 1 on open chains, chi on rings."""
+    return (d**ends[0] + d**ends[1]) * chi * (chi if boundary == "pbc" else 1)
+
+
+def _end_states(edge: np.ndarray, tensors) -> np.ndarray:
+    """v[p, s, a, x] of one chain end: the site tensors multiplied onto
+    its edge m[p, 1, s, a], strings last so a range of samples is a range
+    of rows of the matrix _pair_block reads."""
+    return np.ascontiguousarray(_multiply(edge, tensors).transpose(0, 2, 3, 1))
+
+
+def _pair_block(v: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """sum_x conj(v[m, ..., x]) v[j, ..., x] of row samples m against column
+    samples j, shape (rows, ..., cols, ...): one matrix product whose right
+    operand is a view of v; only the rows are conjugated."""
+    m, j, x = v[rows], v[cols], v.shape[-1]
+    return (m.reshape(-1, x).conj() @ j.reshape(-1, x).T).reshape(m.shape[:-1] + j.shape[:-1])
+
+
+def _pair_env(pairs: np.ndarray) -> np.ndarray:
+    """An end's _pair_block, [m, s_bra, bra bond, j, s_ket, ket bond], as a
+    sweep environment [m, j, ket bond, (s_ket, s_bra), bra bond]."""
+    m, s, chi, j = pairs.shape[:4]
+    return pairs.transpose(0, 3, 5, 4, 1, 2).reshape(m, j, chi, s * s, chi)
 
 
 def _expectations(stack: _Stack, obs: LocalObservable) -> np.ndarray:

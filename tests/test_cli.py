@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rmps import dense, ensembles
+from rmps import dense, ensembles, mps
 from rmps.cli import PAULI, REGISTRY, cost_estimate, load_config, main, plan, validate_config
 from rmps.errors import DimensionError
 from rmps.mps import LocalObservable, sample_rmps
@@ -614,7 +614,8 @@ def test_cost_estimate_counts_monte_carlo_twirl(tmp_path):
 def test_cost_estimate_counts_ring_sweeps_and_gram_blocks(tmp_path):
     """A ring sweep carries the chi^2 boundary axis, so the pbc estimate
     is chi^2 times the obc one; the memory of a pairwise plan counts its
-    Gram block arrays on top of the samples."""
+    Gram block arrays and the partial states of its two chain ends on top
+    of the samples."""
     units, mb = {}, {}
     for boundary in ("obc", "pbc"):
         cfg = load_config(write_cfg(tmp_path, "purity-scaling", {"params": {
@@ -625,6 +626,10 @@ def test_cost_estimate_counts_ring_sweeps_and_gram_blocks(tmp_path):
     assert units["obc"] == float(f"{obc:.2e}")
     assert units["pbc"] == float(f"{4**2 * obc:.2e}")
     samples = 16 * 200 * 8 * 2 * 4**2 / 2**20
-    # the first obc block alone: 10 rows x 200 columns x D chi^2 elements
-    assert mb["obc"] >= samples + 4 * 16 * 10 * 200 * 2 * 4**2 / 2**20 - 0.01
+    # the first obc block alone: its rows x 200 columns x D chi^2 elements
+    start, stop = ensembles._row_blocks(200, 2 * 4**2)[0]
+    assert start == 0 and stop > 1
+    # each end of K sites: D^K x chi numbers per sample on an open chain
+    ends = 16 * 200 * sum(2**k for k in mps._end_sites(8, 2, 4, "obc")) * 4 / 2**20
+    assert mb["obc"] >= samples + ends + 4 * 16 * stop * 200 * 2 * 4**2 / 2**20 - 0.01
     assert mb["pbc"] > mb["obc"]

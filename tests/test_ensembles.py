@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rmps import dense, ensembles
+from rmps import dense, ensembles, mps
 from rmps.dense import cue_min_eigenvalue, purity_moment, trace_distance
 from rmps.ensembles import (
     CueSource,
@@ -354,13 +354,17 @@ def _pairwise_purity_reference(spec):
 
 
 # (source, elements per pair of its Gram step: D chi^2, times chi^2 on rings)
-# with odd and even site counts, as the Gram sweep's layout alternates
+# with odd and even site counts, and middles between the multiplied-out
+# chain ends (mps._end_sites) of 0, 1, 3 and 4 sites, as the layout of the
+# middle sweep alternates
 GRAM_SOURCES = [
     (RmpsSource(5, 2, 3), 18),
     (RmpsSource(4, 2, 2), 8),
     (RmpsSource(5, 2, 2, boundary="pbc"), 32),
     (RmpsSource(4, 2, 3, homogeneous=True, boundary="pbc"), 162),
     (CueSource((2, 2, 2, 2)), 1),
+    (RmpsSource(13, 2, 2), 8),
+    (RmpsSource(9, 2, 2, boundary="pbc"), 32),
 ]
 
 
@@ -394,6 +398,33 @@ def test_purity_estimator_gram_blocks_match_pairwise_reference(monkeypatch, idx,
     cross, se = _pairwise_purity_reference(spec)
     assert rep.value == pytest.approx(cross, rel=1e-12, abs=0)
     assert rep.stderr == pytest.approx(se, rel=1e-12, abs=0)
+
+
+def test_gram_sources_reach_empty_odd_and_even_middles():
+    """The estimator-level Gram tests above sweep middles of every parity."""
+    middles = {src.n_sites - sum(mps._end_sites(src.n_sites, src.phys_dim, src.bond_dim,
+                                                src.boundary))
+               for src, _ in GRAM_SOURCES if isinstance(src, RmpsSource)}
+    assert 0 in middles and any(k % 2 for k in middles) and any(k and k % 2 == 0 for k in middles)
+
+
+def test_purity_estimator_builds_each_chain_end_once(monkeypatch):
+    """With one row per Gram block, one estimate still multiplies out each
+    chain end's partial states exactly once, not once per block."""
+    src, r = RmpsSource(13, 2, 2), 12
+    monkeypatch.setattr(ensembles, "_GRAM_BLOCK_ELEMENTS", 1)
+    assert len(ensembles._row_blocks(r, 8)) == r
+    built = []
+    end_states = mps._end_states
+
+    def spy(edge, tensors):
+        built.append(len(tensors))
+        return end_states(edge, tensors)
+
+    monkeypatch.setattr(mps, "_end_states", spy)
+    rep = purity_of_average_via_overlaps(EnsembleSpec(src, r, subseed(37, 0)))
+    assert built == list(mps._end_sites(13, 2, 2, "obc")) == [5, 4]
+    assert rep.value > 0
 
 
 @pytest.mark.parametrize("r", [1, 2])
