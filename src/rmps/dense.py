@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceededError, DimensionError
-from .haar import Seed, haar_state, haar_unitary, subseed
+from .haar import Seed, generator, haar_state, haar_unitary, rekey, subseed_keys
 
 # Ceilings: 2^20 amplitudes for a dense pure state and 2^10 for
 # the linear dimension of anything stored as a full matrix.
@@ -38,20 +38,27 @@ CUE_MIN_EIG_DIM_CAP = 2**8
 
 def check_amplitude_cap(total_dim: int) -> None:
     if total_dim > DENSE_AMPLITUDE_CAP:
-        raise CapExceededError(f"dense state of dimension {total_dim} exceeds cap "
+        raise CapExceededError(f"dense state of dimension {_size(total_dim)} exceeds cap "
                                f"{DENSE_AMPLITUDE_CAP}")
 
 
 def check_density_cap(dim: int) -> None:
     if dim > DENSITY_DIM_CAP:
-        raise CapExceededError(f"density matrix of dimension {dim} exceeds cap "
+        raise CapExceededError(f"density matrix of dimension {_size(dim)} exceeds cap "
                                f"{DENSITY_DIM_CAP}")
 
 
 def check_min_eig_cap(d_a: int, d_b: int) -> None:
     if d_a <= d_b and d_a * d_b > CUE_MIN_EIG_DIM_CAP:
         raise CapExceededError(f"exact min-eigenvalue reference at d_a * d_b = "
-                               f"{d_a * d_b} exceeds cap {CUE_MIN_EIG_DIM_CAP}")
+                               f"{_size(d_a * d_b)} exceeds cap {CUE_MIN_EIG_DIM_CAP}")
+
+
+def _size(dim: int) -> str:
+    """A dimension in decimal, or past 2^64 as the power of two it reaches:
+    CPython formats no int of more than 4300 digits."""
+    bits = int(dim).bit_length()
+    return str(dim) if bits <= 64 else f">= 2^{bits - 1}"
 
 
 def _validated_dims(dims: Iterable[int]) -> tuple[int, ...]:
@@ -564,7 +571,8 @@ def haar_twirl_monte_carlo(n_copies: int, dim: int, r: int, seed: Seed | int) ->
     """Monte Carlo estimate of the mean of (U (x) U*)^{(x) n_copies}.
 
     Averages r independent Haar unitaries, sample i drawn from
-    subseed(seed, i).
+    subseed(seed, i): one Philox generator re-keyed to each key of one
+    subseed_keys pass.
     """
     if n_copies < 1:
         raise DimensionError(f"n_copies must be positive, got {n_copies}")
@@ -573,8 +581,9 @@ def haar_twirl_monte_carlo(n_copies: int, dim: int, r: int, seed: Seed | int) ->
     op_dim = dim ** (2 * n_copies)
     check_density_cap(op_dim)
     acc = np.zeros((op_dim, op_dim), dtype=np.complex128)
-    for i in range(r):
-        u = haar_unitary(dim, subseed(seed, i))
+    rng = generator(0)
+    for key in subseed_keys([seed], range(r))[0]:
+        u = haar_unitary(dim, rekey(rng, key))
         w = np.kron(u, u.conj())
         t = w
         for _ in range(n_copies - 1):

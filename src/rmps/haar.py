@@ -117,7 +117,7 @@ def ginibre(n: int, seed: Seed | int | np.random.Generator) -> np.ndarray:
     return _complex_normals((n, n), generator(seed))
 
 
-def haar_unitary(n: int, seed: Seed | int) -> np.ndarray:
+def haar_unitary(n: int, seed: Seed | int | np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n unitary matrix: haar_isometry of a Ginibre matrix."""
     return haar_isometry(ginibre(n, seed))
 

@@ -20,28 +20,27 @@ its stack of one.
 
 Every contraction of ket chains against bra chains (norm, overlap,
 expectation value, block and site reduced states, the Gram block of a
-stack of states) is one transfer step swept over the sites, started and
-closed by one boundary pair (L, R).  Both sides carry a sample axis: a
-sweep gives the overlaps <psi_m|psi_j> of a block of bra rows m against
-a block of ket columns j, and a single contraction is the 1 x 1 block.
-On a ring L and R are the identity on the chi_ket * chi_bra bond pairs;
-an open chain is the same ring closed by the rank-one pair built from
-its boundary vectors.  Each step is two batched matrix products, one
-batched over the rows with the columns folded into the product's row
-dimension and one the other way round, and the ring's boundary axis
-folds in the same way, so open chains and rings run the same kernel.
+stack of states) is one transfer step, _gram_step, swept over the sites.
+Both sides carry a sample axis.  A full sweep pairs each ket p with its
+own bra p, started and closed by one boundary pair (L, R): a norm or an
+overlap is the sweep of a stack of one.  On a ring L and R are the
+identity on the chi_ket * chi_bra bond pairs; an open chain is the same
+ring closed by the rank-one pair built from its boundary vectors.  Each
+step is two batched matrix products, one batched over the bras and one
+over the kets, and the ring's boundary axis folds into the products'
+rows and columns, so open chains and rings run the same kernel.
 Contractions never build the full chi^2 x chi^2 transfer matrices
 except in the two functions that expose them; a sweep costs
 O(N D chi^3) per pair on open chains and O(N D chi^5) on rings.  Reduced
-states and expectation values sweep each state of a stack against itself
-alone (_pair_step, per sample bitwise the 1 x 1 Gram step); reduced
 states close every site, or block, in three batched matrix products.  A
 state's reduced states, expectations and amplitudes are its stack of one.
-The Gram blocks of a stack sweep only the middle of the chain: each end's
-partial states are multiplied out once per stack (_end_states), and the
-pair of an end against any block is one matrix product over its
-physical strings (_pair_block), which starts or closes the sweep in
-place of a boundary pair.
+The Gram block of a stack, the overlaps of bra rows m against ket
+columns j, is the one contraction that pairs every row with every
+column, and it sweeps only the middle of the chain: each end's partial
+states are multiplied out once per stack (_end_states), and the pair of
+an end against any block is one matrix product over its physical
+strings (_pair_block), which starts or closes the sweep in place of a
+boundary pair.
 BOUNDARIES and LocalObservable.check_fits own the closure and fit rules.
 """
 
@@ -165,7 +164,7 @@ class Mps:
     def norm_squared(self) -> float:
         """<psi|psi> of the raw, unnormalized state."""
         one = _Stack.one(self)
-        return float(_gram(one, one)[0, 0].real)
+        return float(_overlaps(one, one)[0].real)
 
     def expectation(self, obs: LocalObservable) -> float:
         """Normalized expectation value of a product observable (_expectations' stack of one)."""
@@ -284,26 +283,26 @@ def overlap(a: Mps, b: Mps) -> complex:
         raise DimensionError("states must share site count and physical dimension")
     if a.boundary != b.boundary:
         raise DimensionError("states must share the boundary type")
-    return complex(_gram(_Stack.one(b), _Stack.one(a))[0, 0])
+    return complex(_overlaps(_Stack.one(b), _Stack.one(a))[0])
 
 
 # -- the transfer step ------------------------------------------------------
 #
-# A sweep gives the bra a row axis m and the ket a column axis j.  Its
-# environment env[p, q, b, s, d] leads with the two sample axes and keeps
-# between the two bonds a boundary index s: size 1 on open chains,
-# chi_ket * chi_bra on rings, where it holds the bond pair at the far end
-# of the sweep until the closing contraction ties it to the other end.
-# A step swaps the sides: with (x, y) = (ket, conj(bra)) it reads the
-# layout [m, j, ket bond, s, bra bond] and writes [j, m, bra bond, s, ket
-# bond], and the other way round with (conj(bra), ket).  The conjugate
-# rides on the bra's site tensors, never on the environment.  A Gram
-# sweep lets the sides swap roles at every site, so each step reads the
+# A full sweep pairs ket p with bra p.  Its environment env[p, b, s, d]
+# leads with the sample axis and keeps between the two bonds a boundary
+# index s: size 1 on open chains, chi_ket * chi_bra on rings, where it
+# holds the bond pair at the far end of the sweep until the closing
+# contraction ties it to the other end.  A step swaps the sides: with
+# (x, y) = (ket, conj(bra)) it reads the layout [p, ket bond, s, bra bond]
+# and writes [p, bra bond, s, ket bond], and the other way round with
+# (conj(bra), ket).  The conjugate rides on the bra's site tensors, never
+# on the environment.  The Gram block's middle sweep gives the bra a row
+# axis m and the ket a column axis j, [m, j, ket bond, s, bra bond] in
+# and [j, m, bra bond, s, ket bond] out; the same step reads both layouts.
+# _sweep lets the sides swap roles at every site, so each step reads the
 # environment without a copy and its one transpose of a block-sized array
-# sits between the two products.  Reduced states and expectation values
-# need only the diagonal pairs of a stack: _pair_step pairs the two sample
-# axes into one, p.  A paired _gram sweep swaps the sides as the Gram one
-# does; _environments transposes each environment back instead.
+# sits between the two products; _environments transposes each
+# environment back instead.
 
 
 @dataclass(frozen=True)
@@ -393,11 +392,9 @@ def _pair_elements(phys_dim: int, bond_dim: int, boundary: str) -> int:
     return phys_dim * bond_dim**2 * (bond_dim**2 if boundary == "pbc" else 1)
 
 
-def _boundary(ket: _Stack, bra: _Stack, paired: bool = False
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary pair (L, R) of a sweep of kets j against bras m, in the
-    [m, j, ket bond, s, bra bond] layout, or [p, ket bond, s, bra bond]
-    when ``paired`` matches ket p with bra p.
+def _boundary(ket: _Stack, bra: _Stack) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary pair (L, R) of a sweep of each ket p against its own bra
+    p, in the [p, ket bond, s, bra bond] layout.
 
     Open chains: L = left* (x) left and R = right (x) right*, with a
     boundary axis of size 1.  Rings: both are the identity on
@@ -405,52 +402,55 @@ def _boundary(ket: _Stack, bra: _Stack, paired: bool = False
     """
     if ket.boundary == "obc":
         def pair(k, b):
-            if not paired:
-                k, b = k[np.newaxis], b[:, np.newaxis]
-            return k[..., :, np.newaxis, np.newaxis] * b[..., np.newaxis, np.newaxis, :]
+            return k[:, :, np.newaxis, np.newaxis] * b[:, np.newaxis, np.newaxis, :]
         return (pair(ket.left_vec.conj(), bra.left_vec),
                 pair(ket.right_vec, bra.right_vec.conj()))
     chi_k, chi_b = ket.bond_dim, bra.bond_dim
-    samples = (len(ket.tensors[0]),) if paired else (len(bra.tensors[0]), len(ket.tensors[0]))
     eye = np.eye(chi_k * chi_b, dtype=np.complex128).reshape(chi_k, chi_b, chi_k * chi_b)
-    eye = np.broadcast_to(eye.transpose(0, 2, 1), samples + (chi_k, chi_k * chi_b, chi_b))
+    eye = np.broadcast_to(eye.transpose(0, 2, 1),
+                          (len(ket.tensors[0]), chi_k, chi_k * chi_b, chi_b))
     return eye, eye
 
 
 def _gram_step(x: np.ndarray, env: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Absorb one site into an environment:
-    env'[q, p, c, s, a] = sum x[q, i, a, b] env[p, q, b, s, d] y[p, i, c, d].
+    env'[q, p, c, s, a] = sum x[q, i, a, b] env[p, q, b, s, d] y[p, i, c, d],
+    or env'[p, c, s, a] = sum x[p, i, a, b] env[p, b, s, d] y[p, i, c, d]
+    for a paired environment, which has no column axis q.
 
     y goes first, as one product batched over p with (q, b, s) folded
-    into its columns; x second, batched over q with (p, c, s) folded
-    into its rows.
+    into its columns; x second, batched over its own samples (q, or p
+    when paired) with (p, c, s), or (c, s), folded into its rows.  Per
+    sample the paired step is the same two products as the step at one
+    row and one column, so bitwise its 1 x 1 case.
     """
-    p, q, chi_b, s, chi_d = env.shape
+    *samples, chi_b, s, chi_d = env.shape
     d, chi_a, chi_c = x.shape[-3], x.shape[-2], y.shape[-2]
+    p = samples[0]
     t = np.matmul(y.reshape(p, d * chi_c, chi_d),
-                  env.reshape(p, q * chi_b * s, chi_d).swapaxes(-1, -2))
-    t = t.reshape(p, d, chi_c, q, chi_b, s).transpose(3, 0, 2, 5, 1, 4)
-    t = np.matmul(t.reshape(q, p * chi_c * s, d * chi_b),
-                  x.swapaxes(-1, -2).reshape(q, d * chi_b, chi_a))
-    return t.reshape(q, p, chi_c, s, chi_a)
+                  env.reshape(p, -1, chi_d).swapaxes(-1, -2))
+    t = t.reshape(p, d, chi_c, -1, chi_b, s).transpose(3, 0, 2, 5, 1, 4)
+    t = np.matmul(t.reshape(len(x), -1, d * chi_b),
+                  x.swapaxes(-1, -2).reshape(len(x), d * chi_b, chi_a))
+    return t.reshape(*samples[::-1], chi_c, s, chi_a)
 
 
-def _gram(ket: _Stack, bra: _Stack, paired: bool = False) -> np.ndarray:
-    """Raw overlaps G[m, j] = <bra m | ket j>, or <bra p | ket p> if ``paired``
-    (_pair_step, bitwise the 1 x 1 sweep): one sweep from R over every
-    site, closed by L."""
-    left, env = _boundary(ket, bra, paired)
-    return (_sweep(env, ket.tensors, bra.tensors, paired) * left).sum(axis=(-3, -2, -1))
+def _overlaps(ket: _Stack, bra: _Stack) -> np.ndarray:
+    """Raw overlaps <bra p | ket p> of each ket against its own bra: one
+    sweep from R over every site, closed by L."""
+    left, env = _boundary(ket, bra)
+    return (_sweep(env, ket.tensors, bra.tensors) * left).sum(axis=(-3, -2, -1))
 
 
-def _sweep(env: np.ndarray, kets, bras, paired: bool = False) -> np.ndarray:
+def _sweep(env: np.ndarray, kets, bras) -> np.ndarray:
     """Absorb the sites of kets and bras into env from the right, in the
-    [m, j, ket bond, s, bra bond] layout in and out ([p, ...] if ``paired``).
-    The sides swap roles at every site, (x, y) = (ket, conj(bra)) and then
-    (conj(bra), ket), so each step reads the last one's output as is."""
-    step, flip = (_pair_step, (0, 3, 2, 1)) if paired else (_gram_step, (1, 0, 4, 3, 2))
+    [m, j, ket bond, s, bra bond] layout in and out, or [p, ket bond, s,
+    bra bond] for a paired env.  The sides swap roles at every site,
+    (x, y) = (ket, conj(bra)) and then (conj(bra), ket), so each step
+    reads the last one's output as is."""
     for k, (x, y) in enumerate(zip(reversed(kets), reversed(bras))):
-        env = step(x, env, y.conj()) if k % 2 == 0 else step(y.conj(), env, x)
+        env = _gram_step(x, env, y.conj()) if k % 2 == 0 else _gram_step(y.conj(), env, x)
+    flip = (0, 3, 2, 1) if env.ndim == 4 else (1, 0, 4, 3, 2)
     return env.transpose(*flip) if len(kets) % 2 else env
 
 
@@ -518,27 +518,10 @@ def _expectations(stack: _Stack, obs: LocalObservable) -> np.ndarray:
     kets = list(stack.tensors)
     for k, op in enumerate(obs.site_ops, obs.start_site):
         kets[k] = (op @ kets[k].reshape(*kets[k].shape[:2], -1)).reshape(kets[k].shape)
-    norms = _gram(stack, stack, paired=True).real
+    norms = _overlaps(stack, stack).real
     if np.any(norms <= 0.0):
         raise ValueError("state has zero norm")
-    return _gram(replace(stack, tensors=tuple(kets)), stack, paired=True).real / norms
-
-
-def _pair_step(x: np.ndarray, env: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Absorb one site into the environments of paired samples:
-    env'[p, c, s, a] = sum x[p, i, a, b] env[p, b, s, d] y[p, i, c, d].
-
-    Per sample p it is _gram_step at one row and one column: the same
-    two products in the same operand order, so bitwise its diagonal.
-    """
-    p, chi_b, s, chi_d = env.shape
-    d, chi_a, chi_c = x.shape[-3], x.shape[-2], y.shape[-2]
-    t = np.matmul(y.reshape(p, d * chi_c, chi_d),
-                  env.reshape(p, chi_b * s, chi_d).swapaxes(-1, -2))
-    t = t.reshape(p, d, chi_c, chi_b, s).transpose(0, 2, 4, 1, 3)
-    t = np.matmul(t.reshape(p, chi_c * s, d * chi_b),
-                  x.swapaxes(-1, -2).reshape(p, d * chi_b, chi_a))
-    return t.reshape(p, chi_c, s, chi_a)
+    return _overlaps(replace(stack, tensors=tuple(kets)), stack).real / norms
 
 
 def _environments(stack: _Stack, n_left: int, n_right: int
@@ -547,8 +530,8 @@ def _environments(stack: _Stack, n_left: int, n_right: int
     n_left sites and right ones over its last n_right, boundary first,
     each in the [p, ket bond, s, bra bond] layout that _open_sites reads.
 
-    Every sample sweeps against itself alone, by _pair_step.  A left
-    environment is the same sweep on transposed site matrices.  Every
+    Every sample sweeps against itself alone, by the paired _gram_step.
+    A left environment is the same sweep on transposed site matrices.  Every
     step absorbs the ket first, whatever the site's parity: one
     transpose of each environment hands the step its [p, bra bond, s,
     ket bond] layout.  The rounding of a reduced state, which decides
@@ -558,9 +541,9 @@ def _environments(stack: _Stack, n_left: int, n_right: int
     def sweep(env, sites):
         envs = [env]
         for t in sites:
-            envs.append(_pair_step(t.conj(), envs[-1].transpose(0, 3, 2, 1), t))
+            envs.append(_gram_step(t.conj(), envs[-1].transpose(0, 3, 2, 1), t))
         return envs
-    left, right = _boundary(stack, stack, paired=True)
+    left, right = _boundary(stack, stack)
     return (sweep(left, [t.swapaxes(-1, -2) for t in stack.tensors[:n_left]]),
             sweep(right, stack.tensors[::-1][:n_right]))
 
@@ -582,15 +565,13 @@ def _block_states(stack: _Stack, start: int, length: int) -> np.ndarray:
     (samples, D^length, D^length): the blocks multiplied out and closed
     between their environments in one _open_sites call.  D^length is capped.
     """
-    n, d, chi = len(stack.tensors), stack.tensors[0].shape[1], stack.bond_dim
+    n, d = len(stack.tensors), stack.tensors[0].shape[1]
     if not (0 <= start and length >= 1 and start + length <= n):
         raise DimensionError(
             f"block [{start}, {start + length}) does not fit in {n} sites")
     check_density_cap(d**length)
     lefts, rights = _environments(stack, start, n - start - length)
-    eye = np.broadcast_to(np.eye(chi, dtype=np.complex128),
-                          (len(stack.tensors[0]), 1, chi, chi))
-    block = _multiply(eye, stack.tensors[start:start + length])
+    block = _multiply(stack._edge(None), stack.tensors[start:start + length])
     rho = _normalized(_open_sites(lefts[-1], block, rights[-1]))
     return (rho + rho.conj().swapaxes(-1, -2)) / 2.0
 

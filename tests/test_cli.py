@@ -298,6 +298,19 @@ def test_cap_exceeded_exit_code_and_manifest(tmp_path):
     assert manifest["outputs"] == []
 
 
+@pytest.mark.parametrize("name, body", [
+    ("bound-comparison", {"r": 3, "params": {"bath_sizes": [14400]}}),
+    ("avg-state-convergence", {"r": 3, "params": {"n": 14400}})],
+    ids=["bound-comparison", "avg-state-convergence"])
+def test_cap_error_on_a_long_chain_exits_3(tmp_path, name, body):
+    """A cap failure at a dimension of more than 4300 decimal digits
+    still exits 3 with the cap in the manifest's error."""
+    cfg = write_cfg(tmp_path, name, body)
+    out_dir = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out_dir)]) == 3
+    assert "exceeds cap" in read_manifest(out_dir)["error"]
+
+
 def test_min_eig_vs_chi_exact_reference_and_cap(tmp_path):
     """The reference column holds the exact Haar mean of the 2-by-8 split
     and the deviation is measured from it; a split beyond the exact

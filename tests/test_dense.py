@@ -29,7 +29,7 @@ from rmps.dense import (
 )
 from rmps.ensembles import CueSource
 from rmps.errors import CapExceededError, DimensionError
-from rmps.haar import haar_state, subseed
+from rmps.haar import haar_state, haar_unitary, subseed
 
 KET0 = np.array([1.0, 0.0])
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -118,6 +118,20 @@ def test_caps_raise():
         check_amplitude_cap(2**20 + 1)
     with pytest.raises(CapExceededError):
         check_density_cap(2**10 + 1)
+
+
+def test_cap_messages_state_any_dimension():
+    """A dimension past 2^64 is stated as the power of two it reaches,
+    since CPython formats no int of more than 4300 digits; a smaller one
+    in decimal."""
+    with pytest.raises(CapExceededError, match="dimension 2049 exceeds cap"):
+        check_density_cap(2049)
+    with pytest.raises(CapExceededError, match=r"dimension >= 2\^64 exceeds cap"):
+        check_density_cap(2**64)
+    with pytest.raises(CapExceededError, match=r"dimension >= 2\^14400 exceeds cap"):
+        check_amplitude_cap(2**14400 + 1)
+    with pytest.raises(CapExceededError, match=r"d_a \* d_b = >= 2\^20000 exceeds cap"):
+        dense.check_min_eig_cap(2**10000, 2**10000)
 
 
 def test_projector():
@@ -402,6 +416,18 @@ def test_haar_twirl_monte_carlo():
         haar_twirl_monte_carlo(1, 2, 0, 0)
     with pytest.raises(CapExceededError):
         haar_twirl_monte_carlo(6, 4, 1, 0)
+
+
+def test_haar_twirl_monte_carlo_is_the_mean_of_per_sample_unitaries():
+    """The twirl's unitaries, drawn from one re-keyed generator, are
+    bitwise haar_unitary(dim, subseed(seed, i)) of each sample drawn
+    alone, summed in sample order."""
+    acc = np.zeros((16, 16), dtype=np.complex128)
+    for i in range(30):
+        u = haar_unitary(2, subseed(9, i))
+        w = np.kron(u, u.conj())
+        acc += np.kron(w, w)
+    assert np.array_equal(haar_twirl_monte_carlo(2, 2, 30, 9), acc / 30)
 
 
 def test_permutation_twirl_single_copy():

@@ -432,23 +432,48 @@ def test_load_rejects_header_that_disagrees_with_tensors(tmp_path):
             load_mps(bad)
 
 
-@pytest.mark.parametrize("boundary", ["obc", "pbc"])
-def test_pair_step_is_bitwise_the_one_by_one_gram_step(boundary):
-    """The paired transfer step gives, for each sample, bitwise the Gram
-    step of that sample's ket against its own bra alone, with the
-    environment handed over as the sweeps hand it (a transposed view)."""
-    stack = mps._sample_stack(4, 2, 3, [70 + k for k in range(5)], False, boundary)
+@pytest.mark.parametrize("boundary, chi_ket, chi_bra", [
+    ("obc", 3, 3), ("pbc", 3, 3), ("obc", 3, 2), ("pbc", 2, 3)],
+    ids=["obc", "pbc", "obc-unequal", "pbc-unequal"])
+def test_pair_step_is_bitwise_the_one_by_one_gram_step(boundary, chi_ket, chi_bra):
+    """The transfer step on a paired environment gives, for each sample,
+    bitwise the step of that sample's ket against its own bra alone, with
+    the environment handed over as the sweeps hand it (a transposed view),
+    also when the ket and bra bond dimensions differ, as in an overlap."""
+    kets = mps._sample_stack(4, 2, chi_ket, [70 + k for k in range(5)], False, boundary)
+    bras = mps._sample_stack(4, 2, chi_bra, [60 + k for k in range(5)], False, boundary)
+    if chi_ket == chi_bra:
+        bras = kets
     rng = np.random.default_rng(7)
-    s = 9 if boundary == "pbc" else 1
-    env = rng.standard_normal((5, 3, s, 3)) + 1j * rng.standard_normal((5, 3, s, 3))
-    for t in stack.tensors:
-        got = mps._pair_step(t.conj(), env.transpose(0, 3, 2, 1), t)
+    s = chi_ket * chi_bra if boundary == "pbc" else 1
+    shape = (5, chi_ket, s, chi_bra)
+    env = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for t, b in zip(kets.tensors, bras.tensors):
+        got = mps._gram_step(b.conj(), env.transpose(0, 3, 2, 1), t)
+        assert got.shape == shape
         for p in range(5):
-            want = mps._gram_step(t[p:p + 1].conj(),
+            want = mps._gram_step(b[p:p + 1].conj(),
                                   env[p][np.newaxis, np.newaxis].transpose(1, 0, 4, 3, 2),
                                   t[p:p + 1])
             assert np.array_equal(got[p], want[0, 0])
         env = got
+
+
+@pytest.mark.parametrize("boundary, homogeneous", [
+    ("obc", False), ("pbc", False), ("obc", True), ("pbc", True)],
+    ids=["obc", "pbc", "homogeneous-obc", "homogeneous-pbc"])
+def test_overlaps_of_two_stacks_are_bitwise_the_per_pair_overlaps(boundary, homogeneous):
+    """The paired sweep of a stack of kets against a stack of other bras,
+    of a smaller bond dimension, gives bitwise overlap(bra p, ket p) of
+    each pair drawn alone."""
+    ket_seeds, bra_seeds = [30 + k for k in range(4)], [50 + k for k in range(4)]
+    got = mps._overlaps(mps._sample_stack(5, 2, 3, ket_seeds, homogeneous, boundary),
+                        mps._sample_stack(5, 2, 2, bra_seeds, homogeneous, boundary))
+    want = [overlap(sample_rmps(5, 2, 2, b, homogeneous=homogeneous, boundary=boundary),
+                    sample_rmps(5, 2, 3, k, homogeneous=homogeneous, boundary=boundary))
+            for k, b in zip(ket_seeds, bra_seeds)]
+    assert got.shape == (4,)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("boundary, homogeneous, phys_dim, bond_dim", [
@@ -457,8 +482,8 @@ def test_pair_step_is_bitwise_the_one_by_one_gram_step(boundary):
     ids=["obc", "pbc", "homogeneous-obc", "homogeneous-pbc", "chi1", "qutrit"])
 def test_gram_end_blocks_match_the_sweep(boundary, homogeneous, phys_dim, bond_dim):
     """A stack's Gram block of rows against other columns, its chain ends
-    multiplied out and only the middle swept, equals the 1 x 1 sweep over
-    every site of each pair to 1e-12 of the block's largest entry: at one
+    multiplied out and only the middle swept, equals the full sweep over
+    every site of each pair alone to 1e-12 of the block's largest entry: at one
     site, with the ends meeting, and with odd and even middles."""
     middles = set()
     for n in (1, 4, 7, 8, 9, 10):
@@ -467,7 +492,7 @@ def test_gram_end_blocks_match_the_sweep(boundary, homogeneous, phys_dim, bond_d
         middles.add(len(stack._ends[0]))
         rows, cols = slice(1, 3), slice(2, 6)
         got = stack.gram(rows, cols)
-        want = np.array([[mps._gram(stack[j:j + 1], stack[m:m + 1])[0, 0]
+        want = np.array([[mps._overlaps(stack[j:j + 1], stack[m:m + 1])[0]
                           for j in range(cols.start, cols.stop)]
                          for m in range(rows.start, rows.stop)])
         assert got.shape == want.shape
@@ -484,7 +509,7 @@ def test_stacked_reduced_states_are_bitwise_the_per_state_ones(boundary, homogen
     """The one-site and block states, the amplitudes and the expectation
     values of a stack of five states are bitwise those each state gives
     alone: blocks and observables at the left end, in the bulk and at the
-    right end.  The paired sweep's norms are bitwise the 1 x 1 Gram sweep's."""
+    right end.  The stack's norms are bitwise each state's norm_squared."""
     seeds = [80 + k for k in range(5)]
     states = [sample_rmps(5, phys_dim, bond_dim, seed, homogeneous=homogeneous,
                           boundary=boundary) for seed in seeds]
@@ -504,7 +529,7 @@ def test_stacked_reduced_states_are_bitwise_the_per_state_ones(boundary, homogen
     for obs in (LocalObservable((h,), 0), LocalObservable((h, g), 1), LocalObservable((g, h), 3)):
         for m, value in zip(states, mps._expectations(stack, obs)):
             assert value == m.expectation(obs)
-    assert np.array_equal(mps._gram(stack, stack, paired=True).real,
+    assert np.array_equal(mps._overlaps(stack, stack).real,
                           [m.norm_squared() for m in states])
 
 
