@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -251,139 +251,48 @@ def hs_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) ->
     return float(np.linalg.norm(_as_matrix(a) - _as_matrix(b)))
 
 
-# Element budget of a _trace_norms call's samples x d x d (its arrays hold
-# about half that), and the iterations after which a sample is eigensolved.
-_SECULAR_ELEMENTS = 2**16
-_SECULAR_ITERATIONS = 30
+# The trapezoid rule of _trace_norm_kernel in t, y = s e^t: its step, and
+# its nodes on each side of t = 0, so t runs over [-40, 40].
+_NODE_STEP = 0.25
+_NODE_HALF = 160
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _trace_norms(lam: np.ndarray, a: np.ndarray, rho: float) -> np.ndarray:
-    """Trace norms of diag(lam) - rho a_i a_i^T for ascending lam, one per row a_i >= 0.
+def _trace_norm_kernel(lam: np.ndarray, rho: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The function from rows a_i >= 0 of at most unit length to the trace
+    norms of diag(lam) - rho a_i a_i^T, for real lam and rho > 0.
 
-    The trace norm is sum |nu| over the eigenvalues nu of the update
-    diag(delta) + rho a a^T, delta = -lam reversed: the roots of
-    1/rho + sum_k a_k^2 / (delta_k - nu), one above each pole and below the
-    next or below delta_d + rho|a|^2 (Golub, SIAM Rev. 15, 318 (1973)).
-    As sum nu = sum delta + rho|a|^2, it needs only the roots on the side
-    of 0 with fewer poles.  A weight below roundoff is deflated, leaving
-    its pole an eigenvalue; a row whose other poles cluster, or whose
-    roots do not converge, is eigensolved.
+    As int_0^inf log((mu^2 + y^2) / (l^2 + y^2)) dy = pi (|mu| - |l|),
+    summing over the eigenvalues mu of the update and l of diag(lam) gives
+    ||diag(lam) - rho a a^T||_1 = sum |lam| + (1/pi) int_0^inf log|1 - h(y)|^2 dy,
+    h(y) = rho sum_k a_k^2 / (lam_k + i y).  The integrand is analytic in
+    y = s e^t for |Im t| < pi/2, so the trapezoid rule in t with step
+    _NODE_STEP errs by about e^(-pi^2 / step) (Trefethen & Weideman, SIAM
+    Rev. 56, 385 (2014)).  With s = max|lam| + rho, which bounds the
+    spectrum, the tails beyond t = +-40 are below e^-40 s.  The nodes,
+    -rho [Re | Im] of 1 / (lam_k + i y_n), are built once; each row's sums
+    are then its own 1 x d product with them, so no row depends on the
+    others.  The integrand is log1p(u (2 + u) + v^2), u + iv = -h, which
+    keeps the far nodes' small h; where |1 - h|^2 < 1/2, as near a zero
+    eigenvalue, that form loses the small |1 - h|, so there it is
+    log((1 + u)^2 + v^2).
     """
-    eps = np.finfo(float).eps
-    delta, z = -lam[::-1], a[:, ::-1]
-    w = z * z
-    norm2 = w.sum(axis=1)
-    tol = 8.0 * eps * (np.abs(lam).max() + rho * norm2)
-    active = rho * np.sqrt(norm2)[:, np.newaxis] * z > tol[:, np.newaxis]
-    sign = 1.0 if np.count_nonzero(delta > 0.0) < np.count_nonzero(delta < 0.0) else -1.0
-    side = np.where(active, 0.0, np.maximum(sign * delta, 0.0)).sum(axis=1)
-    poles = np.where(active, delta, np.inf)  # a deflated term is 0 there for any nu
-    order = np.argsort(~active, axis=1, kind="stable")
-    n = active.sum(axis=1)[:, np.newaxis]
-    good = (n[:, 0] > 1) & ~(np.diff(np.take_along_axis(poles, order, axis=1))
-                             <= tol[:, np.newaxis]).any(axis=1)
-    if good.any():
-        # Row j of a sample solves its root above undeflated pole m = start + j,
-        # on the model of poles m and m + 1, the top two for the top root.
-        order, n = order[good], n[good]
-        k = (active & ((delta <= 0.0) if sign > 0.0 else (delta < 0.0))).sum(axis=1)
-        k = k[good, np.newaxis]
-        start, stop = (np.maximum(k - 1, 0), n) if sign > 0.0 else (0 * k, k)
-        rows = np.arange(np.max(stop - start))
-        valid = rows < stop - start
-        m = np.maximum(np.minimum(start + rows, stop - 1), 0)
-        at = np.minimum(m, n - 2)
-        nu = _secular_roots(poles[good], w[good], rho * norm2[good], rho,
-                            np.take_along_axis(order, at, axis=1),
-                            np.take_along_axis(order, at + 1, axis=1), m == n - 1)
-        side[good] += np.where(valid, np.maximum(sign * nu, 0.0), 0.0).sum(axis=1)
-        good[good] = (np.isfinite(nu) | ~valid).all(axis=1)
-    out = 2.0 * side - sign * (delta.sum() + rho * norm2)
-    for i in np.flatnonzero(~good):
-        out[i] = np.abs(np.linalg.eigvalsh(np.diag(lam) - rho * np.outer(a[i], a[i]))).sum()
-    return out
+    y = (np.abs(lam).max() + rho) * np.exp(_NODE_STEP * np.arange(-_NODE_HALF, _NODE_HALF + 1))
+    nodes = np.empty((lam.size, 2 * y.size))
+    re, im = np.split(nodes, 2, axis=1)
+    np.add.outer(lam * lam, y * y, out=im)
+    np.divide(-rho * lam[:, np.newaxis], im, out=re)
+    np.divide(rho * y, im, out=im)
+    weights, base = y * (_NODE_STEP / np.pi), np.abs(lam).sum()
 
+    def norms(a: np.ndarray) -> np.ndarray:
+        u, v = np.split(np.matmul((a * a)[:, np.newaxis], nodes)[:, 0], 2, axis=1)
+        f = u * (2.0 + u) + v * v
+        low = f < -0.5
+        np.log1p(f, out=f, where=~low)
+        f[low] = np.log(np.square(1.0 + u[low]) + np.square(v[low]))
+        return base + np.matmul(f[:, np.newaxis], weights)[:, 0]
 
-def _secular_roots(delta, w, length, rho, p, q, last) -> np.ndarray:
-    """Roots nu[i, j] of 1/rho + sum_k w[i, k] / (delta[i, k] - nu) between
-    poles p[i, j] and q[i, j], or where ``last``, between pole q and it plus
-    length[i]; NaN where one did not converge.  As in LAPACK's dlaed4
-    (Bunch, Nielsen & Sorensen, Numer. Math. 31, 31 (1978)), a root starts
-    from the model of poles p and q with the rest held at mid-bracket, and
-    from its nearer pole takes one step of dlaed4's first model, then
-    iterates the middle-way model, which matches the sums up to p and from
-    q in value and slope; it takes a Newton step where a model steps the
-    wrong way and bisects where it leaves the bracket.  It stops once
-    its step is within 4 eps (|origin| + |tau|), once f is within its
-    rounding error of 0, or after a model step from within 1e4 times that,
-    which lands within second order of the root.  Every sum runs along one
-    row, so no row depends on the others.
-    """
-    eps = np.finfo(float).eps
-    dp, dq = (np.take_along_axis(delta, k, axis=1) for k in (p, q))
-    wp, wq = (np.take_along_axis(w, k, axis=1) for k in (p, q))
-    up_to_p = np.arange(w.shape[1]) <= p[..., np.newaxis]
-    delta = delta[:, np.newaxis]
-    shift = np.subtract(delta, np.where(last, dq, dp)[..., np.newaxis])
-    x = np.empty_like(shift)
-
-    def sums(tau):
-        """f, its slope and the slope's sum over the poles up to p, at origin + tau."""
-        np.subtract(shift, tau[..., np.newaxis], out=x)
-        np.reciprocal(x, out=x)
-        f = 1.0 / rho + np.einsum("ijk,ik->ij", x, w)
-        np.multiply(x, x, out=x)
-        slope = np.einsum("ijk,ik->ij", x, w)
-        np.multiply(x, up_to_p, out=x)
-        return f, slope, np.einsum("ijk,ik->ij", x, w)
-
-    upper, gap = np.where(last, 1.0, -1.0), dq - dp
-    mid = np.where(last, length[:, np.newaxis], gap) / 2.0
-    c = sums(mid)[0]
-    right = c <= 0.0
-    c -= np.where(last, wp / (-gap - mid) + wq / -mid, wp / -mid + wq / (gap - mid))
-    at_p = ~last & ~right
-    tau = _quadratic_root(c, wp + wq + np.where(at_p, c, -c) * gap,
-                          np.where(at_p, wp, -wq) * gap, upper)
-    lo = np.where(right, np.where(last, mid, -mid), 0.0)
-    hi = np.where(right, np.where(last, 2.0 * mid, 0.0), mid)
-    tau = np.where((lo <= tau) & (tau <= hi), tau, (lo + hi) / 2.0)
-    origin = np.where(at_p, dp, dq)
-    np.subtract(delta, origin[..., np.newaxis], out=shift)
-    bound = 8.0 * np.sqrt(w.sum(axis=1))[:, np.newaxis]
-    done = np.zeros(p.shape, dtype=bool)
-    for it in range(_SECULAR_ITERATIONS):
-        f, slope, slope_p = sums(tau)
-        right = f <= 0.0
-        np.maximum(lo, tau, out=lo, where=right)
-        np.minimum(hi, tau, out=hi, where=~right)
-        dist_p, dist_q = (dp - origin) - tau, (dq - origin) - tau
-        c = f - dist_p * slope_p - dist_q * (slope - slope_p)
-        if it == 0:  # exact in the origin's term, the other pole's for the rest
-            c = np.where(last, c, np.where(at_p, f - dist_q * slope + gap * wp / dist_p**2,
-                                           f - dist_p * slope - gap * wq / dist_q**2))
-        np.abs(c, out=c, where=last)
-        eta = _quadratic_root(c, (dist_p + dist_q) * f - dist_p * dist_q * slope,
-                              dist_p * dist_q * f, upper)
-        eta = np.where(f * eta < 0.0, eta, -f / slope)
-        step = tau + eta
-        inside = (lo <= step) & (step <= hi)
-        eta = np.where(inside, eta, (np.where(right, hi, lo) - tau) / 2.0)
-        # |f| in units of its rounding error, sum |w / Delta| <= sqrt(sum w * slope)
-        noise = np.abs(f) / (eps * (bound * np.sqrt(slope) + 2.0 / rho + np.abs(tau) * slope))
-        np.add(tau, eta, out=tau, where=~done & (noise > 1.0))
-        done |= (noise <= 1e4) & inside | (noise <= 1.0) \
-            | (np.abs(eta) <= 4.0 * eps * (np.abs(origin) + np.abs(tau)))
-        if done.all():
-            break
-    return np.where(done, origin + tau, np.nan)
-
-
-def _quadratic_root(c, a, b, sign):
-    """(a + sign sqrt(a^2 - 4bc)) / 2c, a root of c x^2 - a x + b = 0, free of cancellation."""
-    u = sign * np.sqrt(np.abs(a * a - 4.0 * b * c))
-    return np.where(sign * a >= 0.0, (a + u) / (2.0 * c), 2.0 * b / (a - u))
+    return norms
 
 
 def _spectrum(rho: DensityMatrix | np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ leading-block split.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, Sequence
@@ -82,7 +83,11 @@ def source_dims(source: Source) -> tuple[int, ...]:
 
 
 def total_dim(source: Source) -> int:
-    return math.prod(source_dims(source))
+    """The product of the site dimensions as one power per distinct
+    dimension: O(N), where a running product is quadratic in N."""
+    if isinstance(source, RmpsSource):
+        return source.phys_dim ** source.n_sites
+    return math.prod(d ** count for d, count in Counter(source.site_dims).items())
 
 
 @dataclass(frozen=True)
@@ -243,9 +248,11 @@ def average_state_distance(spec: EnsembleSpec, norm: str = "trace") -> EnsembleR
     the real symmetric diag(lam) - a a^T / (r - 1), a = |V^dag psi_i|,
     which has the same spectrum and so the same trace and HS norms.  The
     squared HS norm is closed, sum lam^2 - 2 sum lam a^2 / (r - 1) + |a|^4 / (r - 1)^2,
-    and its trace norm comes from the secular equation (dense._trace_norms),
-    so no sample costs an eigensolve.  Each a is its own 1 x d product,
-    batched in chunks of a fixed size, so no value depends on that size.
+    and its trace norm is one contour integral (dense._trace_norm_kernel)
+    whose nodes are built once from lam and 1 / (r - 1), so no sample costs
+    an eigensolve.  Each sample's a, and its sums against those nodes, are
+    its own 1 x d products, batched in chunks of _CHUNK_SAMPLES, so no
+    value depends on that size.
     """
     metric = _metric(norm)
     r, d = spec.r, total_dim(spec.source)
@@ -257,17 +264,19 @@ def average_state_distance(spec: EnsembleSpec, norm: str = "trace") -> EnsembleR
     if r > 1:
         lam, v = np.linalg.eigh(avg)
         lam, rho, v = r / (r - 1) * lam - 1.0 / d, 1.0 / (r - 1), v.conj()
-        size = min(r, max(1, dense._SECULAR_ELEMENTS // d**2))
+        if norm == "trace":
+            norms = dense._trace_norm_kernel(lam, rho)
+        else:
+            def norms(a):
+                a *= a
+                return np.sqrt(lam @ lam - 2.0 * rho * (a * lam).sum(axis=1)
+                               + (rho * a.sum(axis=1)) ** 2)
+        size = min(r, _CHUNK_SAMPLES)
         loo, buf = np.empty(r), np.empty((size, 1, d), dtype=np.complex128)
         for start in range(0, r, size):
             part = slice(start, min(r, start + size))
-            a = np.abs(np.matmul(states[part, np.newaxis], v, out=buf[:part.stop - start])[:, 0])
-            if norm == "trace":
-                loo[part] = dense._trace_norms(lam, a, rho)
-            else:
-                a *= a
-                loo[part] = np.sqrt(lam @ lam - 2.0 * rho * (a * lam).sum(axis=1)
-                                    + (rho * a.sum(axis=1)) ** 2)
+            loo[part] = norms(np.abs(np.matmul(states[part, np.newaxis], v,
+                                               out=buf[:part.stop - start])[:, 0]))
         se = _jackknife_se(loo)
     return EnsembleReport(spec, f"average_state_distance[{norm}]", float(value), se)
 

@@ -219,8 +219,8 @@ def _unit_rows(rng, count, d, zero=()):
     return a / np.linalg.norm(a, axis=1, keepdims=True)
 
 
-def _secular_case(name):
-    """(lam, a, rho) of one kernel case: ascending lam, rows a >= 0."""
+def _kernel_case(name):
+    """(lam, a, rho) of one kernel case: ascending lam, rows a >= 0 of unit length."""
     rng = np.random.default_rng(7)
     lam = np.sort(rng.normal(size=16)) / 16
     if name.startswith("r = "):
@@ -230,51 +230,71 @@ def _secular_case(name):
         psi = np.array([haar_state(8, subseed(29, i)) for i in range(r)])
         avg_lam, v = np.linalg.eigh(psi.T @ psi.conj() / r)
         return r / (r - 1) * avg_lam - 1 / 8, np.abs(psi @ v.conj()), 1 / (r - 1)
-    if name == "pole at 0":
+    if name == "d = 1":
+        return np.array([-0.2]), np.ones((1, 1)), 0.3
+    if name.startswith("pole at 0"):
         lam -= lam[7]
     elif name.startswith("repeated poles"):
         lam[4], lam[9], lam[10] = lam[3], lam[8], lam[8]
+    elif name == "poles 1e-15 apart":
+        lam[4], lam[9] = lam[3] + 1e-15, lam[8] + 1e-15
     elif name == "all negative":
         lam = np.sort(-np.abs(lam))
-    elif name == "all positive":
+    elif name in ("all positive", "zero eigenvalue"):
         lam = np.sort(np.abs(lam))
     elif name == "d = 2":
         lam = np.array([-0.3, 0.4])
     zero = (4, 9, 10) if name == "repeated poles, zero weights" else \
-        (2, 5, 11) if name == "zero weights" else ()
-    return lam, _unit_rows(rng, 5, lam.size, zero), 0.3
+        (2, 5, 11) if name == "zero weights" else \
+        [k for k in range(16) if k != 5] if name == "one nonzero weight" else ()
+    a, rho = _unit_rows(rng, 5, lam.size, zero), 0.3
+    if name == "pole at 0, heavy weight":
+        a = _unit_rows(rng, 5, lam.size) + np.eye(lam.size)[7]
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+    elif name.startswith("scaled by"):
+        scale = float(name.split()[-1])
+        lam, rho = lam * scale, rho * scale
+    elif name == "rho far above max|lam|":
+        rho = 1e6
+    elif name == "rho far below the pole gaps":
+        rho = 1e-9 * np.diff(lam).min()
+    elif name == "zero eigenvalue":
+        # rho sum a^2 / lam = 1 makes the update singular: 1 - h(y) -> 0 as y -> 0
+        a = a[:1]
+        rho = 1.0 / np.sum(a[0] ** 2 / lam)
+    return lam, a, rho
 
 
-@pytest.mark.parametrize("name,fallbacks", [
-    ("generic", 0), ("zero weights", 0), ("repeated poles", 5),
-    ("repeated poles, zero weights", 0), ("pole at 0", 0), ("all negative", 0),
-    ("all positive", 0), ("d = 2", 0), ("r = 2", 0), ("r = 3", 0)])
+@pytest.mark.parametrize("name,fallbacks", [(name, 0) for name in (
+    "generic", "zero weights", "repeated poles", "repeated poles, zero weights",
+    "poles 1e-15 apart", "pole at 0", "pole at 0, heavy weight", "all negative", "all positive",
+    "d = 1", "d = 2", "one nonzero weight", "scaled by 1e-8", "scaled by 1e8",
+    "rho far above max|lam|", "rho far below the pole gaps", "zero eigenvalue", "r = 2",
+    "r = 3")])
 def test_trace_norms_match_eigensolves(monkeypatch, name, fallbacks):
-    """The secular-equation trace norms of diag(lam) - rho a a^T match
-    eigvalsh's within 1e-12 relative.  Deflated weights need no eigensolve;
-    poles repeated under undeflated weights send their rows to eigvalsh."""
-    lam, a, rho = _secular_case(name)
+    """The contour-integral trace norms of diag(lam) - rho a a^T match
+    eigvalsh's within 1e-12 relative, and no case falls back to eigvalsh.
+    The nodes scale with lam and rho; clustered or repeated poles, zero
+    weights, a pole at 0, d = 1, a rank-one part far above or below the
+    poles and a singular update need no special path."""
+    lam, a, rho = _kernel_case(name)
     want = [np.abs(np.linalg.eigvalsh(np.diag(lam) - rho * np.outer(x, x))).sum() for x in a]
     calls = []
     real = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or real(m))
-    got = dense._trace_norms(lam, a, rho)
+    got = dense._trace_norm_kernel(lam, rho)(a)
     assert len(calls) == fallbacks
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
-def test_trace_norms_fall_back_to_eigensolves(monkeypatch):
-    """With no iterations allowed, no root converges and every row is
-    eigensolved, giving eigvalsh's trace norms."""
-    lam, a, rho = _secular_case("generic")
-    want = [np.abs(np.linalg.eigvalsh(np.diag(lam) - rho * np.outer(x, x))).sum() for x in a]
-    monkeypatch.setattr(dense, "_SECULAR_ITERATIONS", 0)
-    calls = []
-    real = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or real(m))
-    got = dense._trace_norms(lam, a, rho)
-    assert len(calls) == len(a)
-    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+@pytest.mark.parametrize("name", ["generic", "repeated poles, zero weights", "r = 3"])
+def test_trace_norms_rows_are_independent(name):
+    """Each row is its own product with the nodes: the kernel's trace
+    norms are bitwise the same given the rows one at a time as all at once."""
+    lam, a, rho = _kernel_case(name)
+    norms = dense._trace_norm_kernel(lam, rho)
+    one_by_one = np.concatenate([norms(a[i:i + 1]) for i in range(len(a))])
+    assert np.array_equal(one_by_one, norms(a))
 
 
 def test_purity_moment_examples():

@@ -1,6 +1,7 @@
 """Tests for the ensemble statistics layer."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -53,6 +54,21 @@ def test_source_dims_and_total_dim():
     assert source_dims(CueSource((2, 3))) == (2, 3)
     assert total_dim(RmpsSource(4)) == 16
     assert total_dim(CueSource((2, 3))) == 6
+
+
+@pytest.mark.parametrize("source", [
+    RmpsSource(1, 3, 2), RmpsSource(7, 2, 2), CueSource((5,)), CueSource((2, 3, 2, 4, 3, 2)),
+    CueSource((1, 7, 1, 2, 7))], ids=str)
+def test_total_dim_is_the_product_of_the_site_dimensions(source):
+    assert total_dim(source) == math.prod(source_dims(source))
+
+
+def test_total_dim_of_a_long_chain_is_exact():
+    """A 200,000-site chain's dimension is formed as powers, one per
+    distinct site dimension, and is exact."""
+    n = 200_000
+    assert total_dim(RmpsSource(n, 2, 2)) == 2**n
+    assert total_dim(CueSource((2, 3) * (n // 2))) == 6 ** (n // 2)
 
 
 def test_spec_coerces_integer_seed():
@@ -185,7 +201,7 @@ def test_average_state_jackknife_matches_full_eigensolves(kind, n, r, norm):
 
 def test_average_state_distance_solves_one_dense_distance(monkeypatch):
     """dense.trace_distance runs once per call, for the value; the r
-    leave-one-out distances come from the secular equation."""
+    leave-one-out distances come from one contour integral."""
     calls = []
     real = dense.trace_distance
     monkeypatch.setattr(dense, "trace_distance", lambda a, b: calls.append(1) or real(a, b))
@@ -198,11 +214,11 @@ def test_average_state_distance_solves_one_dense_distance(monkeypatch):
                          ids=["rmps-r>d", "cue-r<d"])
 def test_average_state_jackknife_is_independent_of_the_chunk_size(monkeypatch, source, r,
                                                                   norm):
-    """The stderr is bitwise the same when the kernel's budget allows one
+    """The stderr is bitwise the same when the jackknife takes one
     sample per chunk as at its default."""
     spec = EnsembleSpec(source, r, Seed(43))
     default = average_state_distance(spec, norm)
-    monkeypatch.setattr(dense, "_SECULAR_ELEMENTS", 1)
+    monkeypatch.setattr(ensembles, "_CHUNK_SAMPLES", 1)
     assert average_state_distance(spec, norm).stderr == default.stderr
 
 
