@@ -10,7 +10,8 @@ Subcommands:
 A config file is a JSON object with an "experiment" id and optional
 "params", "r", "seed", "format" ("csv" or "jsonl") and "out" keys.
 Flag overrides win over the file; override keys named r, seed, format
-or out target those fields and any other key lands in params.
+or out target those fields and any other key lands in params.  An entry
+that takes its sample counts from an r_values param takes no r.
 
 run makes the same checks as validate before it draws any sample: each
 param must have its registry default's JSON type, and a list param (a
@@ -66,7 +67,7 @@ class RunConfig:
 
     experiment: str
     params: dict
-    r: int
+    r: int | None  # None for an entry that takes its sample counts from r_values
     seed: Seed
     out: Path
     format: str  # "csv" | "jsonl"
@@ -104,7 +105,7 @@ class Experiment:
     summary: str
     defaults: dict
     plan: Callable[[RunConfig], Plan]
-    default_r: int = 500
+    default_r: int | None = 500
 
 
 class ConfigError(ValueError):
@@ -280,7 +281,7 @@ def _plan_linear_chi_scan(cfg: RunConfig) -> Plan:
 @_register("purity-scaling",
            "purity of the average state vs sample count, cross term split out",
            {"n": 6, "chi": 2, "source": "rmps", "homogeneous": False,
-            "boundary": "obc", "r_values": [20, 50, 100, 200, 500]})
+            "boundary": "obc", "r_values": [20, 50, 100, 200, 500]}, default_r=None)
 def _plan_purity_scaling(cfg: RunConfig) -> Plan:
     """Purity of the average state versus sample count, split into the
     1/r term and the overlap cross term."""
@@ -461,7 +462,7 @@ def _plan_concentration_scan(cfg: RunConfig) -> Plan:
 
 @_register("twirl-compare",
            "Monte Carlo unitary twirl vs vectorized-permutation expression",
-           {"n_copies": 2, "dim": 2, "r_values": [200, 800, 3200]}, default_r=1)
+           {"n_copies": 2, "dim": 2, "r_values": [200, 800, 3200]}, default_r=None)
 def _plan_twirl_compare(cfg: RunConfig) -> Plan:
     """Largest entrywise gap between the Monte Carlo unitary twirl and
     the sum of vectorized-permutation projectors."""
@@ -544,10 +545,11 @@ def load_config(path, overrides=(), seed_flag=None, out_flag=None) -> RunConfig:
     if top["format"] not in ("csv", "jsonl"):
         raise ConfigError(f"format must be 'csv' or 'jsonl', got {top['format']!r}")
     r, seed, out = top["r"], top["seed"], top["out"]
-    if type(r) is not int or type(seed) is not int or not isinstance(out, str):
+    if type(r) not in (int, type(exp.default_r)) or type(seed) is not int \
+            or not isinstance(out, str):
         raise ConfigError(f"r and seed must be integers and out a string, "
                           f"got {r!r}, {seed!r} and {out!r}")
-    if r < 1:
+    if r is not None and r < 1:
         raise ConfigError(f"r must be positive, got {r}")
     return RunConfig(name, params, r, Seed(seed), Path(out), top["format"])
 
@@ -556,10 +558,14 @@ def plan(cfg: RunConfig) -> Plan:
     """Check cfg's params and build every ensemble of the run, drawing
     nothing; raise ConfigError or DimensionError (exit 2) or
     CapExceededError (exit 3).  The rules all entries share hold here:
-    a param has its default's JSON type, a list param (a grid axis) is
-    not empty, and every planned ensemble has r >= 2 samples (r >= 3
-    under a jackknife, so that each leave-one-out set keeps two)."""
+    an entry with no default r takes none, a param has its default's
+    JSON type, a list param (a grid axis) is not empty, and every planned
+    ensemble has r >= 2 samples (r >= 3 under a jackknife, so that each
+    leave-one-out set keeps two)."""
     exp = REGISTRY[cfg.experiment]
+    if exp.default_r is None and cfg.r is not None:
+        raise ConfigError(f"{cfg.experiment} takes its sample counts from r_values "
+                          f"and no top-level r, got r = {cfg.r}")
     for key, value in cfg.params.items():
         want = exp.defaults[key]
         if isinstance(want, list):

@@ -21,14 +21,14 @@ of normalized amplitudes; `draw_mps` and `draw_dense` are its chunks of
 one.  Every estimator reads the samples in index order in chunks of a
 fixed size rule (`_chunks`), each reduced by source in one expression:
 to amplitudes (`_dense_states`), leading-block spectra, each solved once
-(`_block_spectra`), one-site states (Q) or expectation values
-(`concentration`).  The pairwise purity draws all r samples at once.  A
-report of per-sample values is built once, and frozen, by one of two
-builders: `_mean_report` (the mean, or its distance from an exact
-reference) and `_spread_report` (the sample standard deviation).  A
-source checks its chain through mps._check_chain and its CUE site
-dimensions through dense._validated_dims; `_split_length` owns the
-leading-block split.
+(`_block_spectra`), one-site states (Q), both closed by
+mps._block_states, or expectation values (`concentration`).  The
+pairwise purity draws all r samples at once.  A report of per-sample
+values is built once, and frozen, by one of two builders: `_mean_report`
+(the mean, or its distance from an exact reference) and `_spread_report`
+(the sample standard deviation).  A source checks its chain through
+mps._check_chain and its CUE site dimensions through
+dense._validated_dims; `_split_length` owns the leading-block split.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .dense import DenseState, DensityMatrix
 from .errors import DimensionError
 from .haar import Seed, as_seed, generator, haar_state, rekey, subseed, subseed_keys
 from .mps import LocalObservable, Mps, _block_states, _check_chain, _expectations, \
-    _pair_block, _pair_elements, _sample_stack, _site_states, _Stack
+    _pair_block, _pair_elements, _sample_stack, _Stack
 
 
 @dataclass(frozen=True)
@@ -224,15 +224,15 @@ def empirical_average_state(spec: EnsembleSpec) -> DensityMatrix:
 
 
 def average_state_convergence(spec: EnsembleSpec) -> np.ndarray:
-    """Trace distances to I/d of the average state of the first k samples, k = 1 .. r."""
+    """Trace distances to I/d of the average state of the first k samples,
+    k = 1 .. r: sum_i |lambda_i - 1/d|, as I/d commutes with the average."""
     states = _dense_states(spec)
     d = states.shape[1]
-    target = np.eye(d, dtype=np.complex128) / d
     acc = np.zeros((d, d), dtype=np.complex128)
     dists = np.empty(spec.r)
     for k, psi in enumerate(states, 1):
         acc += np.outer(psi, psi.conj())
-        dists[k - 1] = dense.trace_distance(acc / k, target)
+        dists[k - 1] = np.abs(np.linalg.eigvalsh(acc) / k - 1.0 / d).sum()
     return dists
 
 
@@ -324,7 +324,7 @@ def _block_spectra(spec: EnsembleSpec, length: int) -> np.ndarray:
     spectra = np.empty((spec.r, d_a))
     for part, chunk in _chunks(spec, d_a=d_a):
         spectra[part] = dense._validated_spectra(
-            _block_states(chunk, 0, length) if isinstance(chunk, _Stack)
+            _block_states(chunk, [0], length)[:, 0] if isinstance(chunk, _Stack)
             else dense._pure_reductions(dense._normalized_rows(chunk), dims, range(length)))
     return spectra
 
@@ -437,7 +437,7 @@ def q_statistics(spec: EnsembleSpec, bins: int = 100
     qs = np.empty(spec.r)
     for part, chunk in _chunks(spec):
         qs[part] = dense.global_entanglement_from_sites(
-            _site_states(chunk) if isinstance(chunk, _Stack)
+            _block_states(chunk, range(len(dims)), 1) if isinstance(chunk, _Stack)
             else dense._pure_site_states(chunk, dims))
     # Q lies in [0, 1] exactly; clip the ~1e-16 roundoff excursions once,
     # so every sample lands in a bin and no statistic leaves [0, 1].

@@ -31,9 +31,10 @@ over the kets, and the ring's boundary axis folds into the products'
 rows and columns, so open chains and rings run the same kernel.
 Contractions never build the full chi^2 x chi^2 transfer matrices
 except in the two functions that expose them; a sweep costs
-O(N D chi^3) per pair on open chains and O(N D chi^5) on rings.  Reduced
-states close every site, or block, in three batched matrix products.  A
-state's reduced states, expectations and amplitudes are its stack of one.
+O(N D chi^3) per pair on open chains and O(N D chi^5) on rings.  One
+closer, _block_states, gives every reduced state, one-site or block, at
+any set of starts in three batched matrix products.  A state's reduced
+states, expectations and amplitudes are its stack of one.
 The Gram block of a stack, the overlaps of bra rows m against ket
 columns j, is the one contraction that pairs every row with every
 column, and it sweeps only the middle of the chain: each end's partial
@@ -173,14 +174,14 @@ class Mps:
 
     def reduced_density_matrix(self, start: int, length: int) -> DensityMatrix:
         """Reduced state of ``length`` contiguous sites from ``start``: the
-        stack of one of _block_states, whose trace it divides out."""
+        stack of one of _block_states at one start, whose trace it divides out."""
         return DensityMatrix((self.phys_dim,) * length,
-                             _block_states(_Stack.one(self), start, length)[0])
+                             _block_states(_Stack.one(self), [start], length)[0, 0])
 
     def site_density_matrices(self) -> np.ndarray:
-        """All one-site reduced density matrices, shape (N, D, D): the
-        stack of one of _site_states."""
-        return _site_states(_Stack.one(self))[0]
+        """All one-site reduced density matrices, shape (N, D, D), bitwise
+        each reduced_density_matrix(k, 1): _block_states at every start."""
+        return _block_states(_Stack.one(self), range(self.n_sites), 1)[0]
 
     def to_dense(self) -> DenseState:
         """Raw (unnormalized) amplitudes: the stack of one of _Stack.amplitudes."""
@@ -528,7 +529,8 @@ def _environments(stack: _Stack, n_left: int, n_right: int
                   ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Left environments of each <psi_p|psi_p> of a stack over its first
     n_left sites and right ones over its last n_right, boundary first,
-    each in the [p, ket bond, s, bra bond] layout that _open_sites reads.
+    each in the [p, ket bond, s, bra bond] layout that _block_states
+    hands _open_sites.
 
     Every sample sweeps against itself alone, by the paired _gram_step.
     A left environment is the same sweep on transposed site matrices.  Every
@@ -548,37 +550,36 @@ def _environments(stack: _Stack, n_left: int, n_right: int
             sweep(right, stack.tensors[::-1][:n_right]))
 
 
-def _site_states(stack: _Stack) -> np.ndarray:
-    """All one-site reduced states of every sample of a stack, shape
-    (samples, N, D, D): one sweep each way, O(N D chi^3) per sample on
-    open chains and O(N D chi^5) on rings, and one _open_sites call."""
-    n = len(stack.tensors)
-    lefts, rights = _environments(stack, n - 1, n - 1)
-    rho = _normalized(_open_sites(*(np.stack(a, axis=1).reshape(-1, *a[0].shape[1:])
-                                    for a in (lefts, stack.tensors, rights[::-1]))))
-    return rho.reshape(-1, n, *rho.shape[1:])
-
-
-def _block_states(stack: _Stack, start: int, length: int) -> np.ndarray:
-    """Reduced states of ``length`` contiguous sites from ``start`` of
-    every sample of a stack, each divided by its own trace, shape
-    (samples, D^length, D^length): the blocks multiplied out and closed
-    between their environments in one _open_sites call.  D^length is capped.
+def _block_states(stack: _Stack, starts: Sequence[int], length: int) -> np.ndarray:
+    """Reduced states of the ``length`` sites from each of ``starts`` of
+    every sample of a stack, each divided by its trace and hermitized,
+    shape (samples, len(starts), D^length, D^length): one sweep each way,
+    O(N D chi^3) per sample on open chains and O(N D chi^5) on rings, then
+    each block multiplied out from its own first tensor (a one-site block
+    is no product) and all closed in one _open_sites call.  D^length is capped.
     """
     n, d = len(stack.tensors), stack.tensors[0].shape[1]
-    if not (0 <= start and length >= 1 and start + length <= n):
-        raise DimensionError(
-            f"block [{start}, {start + length}) does not fit in {n} sites")
+    for start in starts:
+        if not (0 <= start and length >= 1 and start + length <= n):
+            raise DimensionError(
+                f"block [{start}, {start + length}) does not fit in {n} sites")
     check_density_cap(d**length)
-    lefts, rights = _environments(stack, start, n - start - length)
-    block = _multiply(stack._edge(None), stack.tensors[start:start + length])
-    rho = _normalized(_open_sites(lefts[-1], block, rights[-1]))
-    return (rho + rho.conj().swapaxes(-1, -2)) / 2.0
+    lefts, rights = _environments(stack, max(starts), n - min(starts) - length)
+    parts = ([lefts[k] for k in starts],
+             [_multiply(stack.tensors[k], stack.tensors[k + 1:k + length]) for k in starts],
+             [rights[n - k - length] for k in starts])
+    rho = _open_sites(*(np.stack(a, axis=1).reshape(-1, *a[0].shape[1:]) for a in parts))
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    if np.any(trace <= 0.0):
+        raise ValueError("state has zero norm")
+    rho /= trace[:, np.newaxis, np.newaxis]
+    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
+    return rho.reshape(-1, len(starts), *rho.shape[1:])
 
 
 def _open_sites(lefts: np.ndarray, kets: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """Close sites (or blocks) stacked on a leading axis n between their
-    environments, with the physical indices open:
+    """Close blocks stacked on a leading axis n between their environments,
+    with the physical indices open (a one-site block is its site tensor):
     rho[n, I, J] = sum lefts[n, a, s, c] kets[n, I, a, b] rights[n, b, s, d]
     conj(kets[n, J, c, d]), in three products batched over n.
     """
@@ -600,14 +601,6 @@ def _multiply(m: np.ndarray, tensors) -> np.ndarray:
         m = np.matmul(m[:, :, np.newaxis], a[:, np.newaxis]).reshape(
             len(m), -1, m.shape[2], a.shape[3])
     return m
-
-
-def _normalized(rho: np.ndarray) -> np.ndarray:
-    """Divide density matrices (stacked on leading axes) by their traces."""
-    trace = np.trace(rho, axis1=-2, axis2=-1).real
-    if np.any(trace <= 0.0):
-        raise ValueError("state has zero norm")
-    return rho / trace[..., np.newaxis, np.newaxis]
 
 
 def transfer_identity(mps: Mps, site: int) -> np.ndarray:

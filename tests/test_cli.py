@@ -22,7 +22,7 @@ TINY = {
     "chi-independence": {"r": 30, "params": {"n": 2, "chis": [2, 4]}},
     "distance-vs-chi": {"r": 30, "params": {"n": 3, "chis": [1, 2]}},
     "linear-chi-scan": {"r": 30, "params": {"ns": [2, 3], "ratio": 1}},
-    "purity-scaling": {"r": 10, "params": {"n": 6, "chi": 2, "r_values": [10, 20]}},
+    "purity-scaling": {"params": {"n": 6, "chi": 2, "r_values": [10, 20]}},
     "purity-error": {"r": 30, "params": {"chi": 2, "ns": [6, 8]}},
     "q-histogram": {"r": 50, "params": {"n": 4, "chi": 2, "bins": 20}},
     "q-vs-chi": {"r": 40, "params": {"n": 4, "chis": [2, 4]}},
@@ -30,8 +30,7 @@ TINY = {
     "moments-vs-chi": {"r": 30, "params": {"n": 4, "d_a": 4, "ms": [2], "chis": [2, 4]}},
     "min-eig-vs-chi": {"r": 30, "params": {"n": 4, "d_a": 4, "chis": [2, 4]}},
     "concentration-scan": {"r": 40, "params": {"ns": [3, 4], "chi_rule": "const:2"}},
-    "twirl-compare": {"r": 1, "params": {"n_copies": 2, "dim": 2,
-                                         "r_values": [50, 100]}},
+    "twirl-compare": {"params": {"n_copies": 2, "dim": 2, "r_values": [50, 100]}},
 }
 
 
@@ -396,12 +395,28 @@ def test_csv_floats_round_trip(tmp_path):
 
 
 def test_validate_accepts_and_estimates(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "purity-scaling",
-                    {"r": 500, "params": {"n": 20, "chi": 2}})
+    cfg = write_cfg(tmp_path, "purity-scaling", {"params": {"n": 20, "chi": 2}})
     assert main(["validate", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "ok: purity-scaling" in out
     assert "estimate:" in out
+
+
+@pytest.mark.parametrize("name", ["purity-scaling", "twirl-compare"])
+def test_r_values_entries_refuse_a_top_level_r(tmp_path, capsys, name):
+    """An entry whose sample counts come from r_values has no default r:
+    a top-level r in the file exits 2 from validate and from run (the
+    PREFLIGHT rows set it as a param, as an override does), and a run
+    without one records r as null."""
+    assert REGISTRY[name].default_r is None
+    cfg = write_cfg(tmp_path, name, {"r": 10, "params": TINY[name]["params"]})
+    assert main(["validate", str(cfg)]) == 2
+    assert "no top-level r" in capsys.readouterr().out
+    assert main(["run", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    assert "no top-level r" in read_manifest(tmp_path / "bad")["error"]
+    cfg = write_cfg(tmp_path, name, TINY[name], fname="tiny.json")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+    assert read_manifest(tmp_path / "ok")["config"]["r"] is None
 
 
 def test_validate_flags_cap_problems(tmp_path, capsys):
@@ -477,6 +492,9 @@ PREFLIGHT = [
     ("purity-error", {"homogeneous": True}, 2, 2, "reference 1/d"),
     ("subsystem-convergence", {"homogeneous": True, "max_length": 1}, 0, 0, None),
     ("q-histogram", {"homogeneous": True}, 0, 0, None),
+    # the entries whose sample counts come from r_values take no r
+    ("purity-scaling", {"r": 20}, 2, 2, "no top-level r"),
+    ("twirl-compare", {"r": 20}, 2, 2, "no top-level r"),
 ]
 
 
@@ -494,7 +512,9 @@ def test_run_and_validate_share_one_preflight(tmp_path, monkeypatch):
     monkeypatch.setattr(ensembles, "_draw_stack", counted(ensembles._draw_stack))
     for k, (name, params, validate_code, run_code, error) in enumerate(PREFLIGHT):
         case = (name, params)
-        cfg = write_cfg(tmp_path, name, {"r": 20, "params": params}, fname=f"{k}.json")
+        body = {"params": params} if REGISTRY[name].default_r is None \
+            else {"r": 20, "params": params}
+        cfg = write_cfg(tmp_path, name, body, fname=f"{k}.json")
         assert main(["validate", str(cfg)]) == validate_code, case
         draws.clear()
         out_dir = tmp_path / f"out{k}"

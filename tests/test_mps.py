@@ -320,20 +320,22 @@ def test_zero_norm_state_is_rejected():
 
 
 def test_site_density_matrices_match_blocks():
+    """Each one-site state is bitwise the one-site block at its start, and
+    exactly Hermitian: one closer builds both."""
     for boundary in ("obc", "pbc"):
         m = sample_rmps(5, 2, 3, 59, boundary=boundary)
         rhos = m.site_density_matrices()
         assert rhos.shape == (5, 2, 2)
         for k in range(5):
             assert np.isclose(np.trace(rhos[k]).real, 1.0)
-            want = m.reduced_density_matrix(k, 1).matrix
-            assert np.abs(rhos[k] - want).max() < 1e-10
+            assert np.array_equal(rhos[k], rhos[k].conj().T)
+            assert np.array_equal(rhos[k], m.reduced_density_matrix(k, 1).matrix)
 
 
 @pytest.mark.parametrize("n_sites, phys_dim, bond_dim", [
     (1, 2, 2), (1, 3, 1), (4, 2, 1), (4, 3, 1), (3, 3, 2), (3, 1, 3), (5, 3, 4)])
 def test_site_density_matrices_edge_shapes(n_sites, phys_dim, bond_dim):
-    """The batched closure of every site agrees with one-site blocks on
+    """The batched closure of every site is bitwise the one-site blocks on
     single sites, product states (chi = 1), qutrits and D = 1, on open
     chains, rings and homogeneous chains."""
     for seed, (homogeneous, boundary) in enumerate(((False, "obc"), (False, "pbc"),
@@ -343,8 +345,7 @@ def test_site_density_matrices_edge_shapes(n_sites, phys_dim, bond_dim):
         rhos = m.site_density_matrices()
         assert rhos.shape == (n_sites, phys_dim, phys_dim)
         for k in range(n_sites):
-            want = m.reduced_density_matrix(k, 1).matrix
-            assert np.abs(rhos[k] - want).max() < 1e-12
+            assert np.array_equal(rhos[k], m.reduced_density_matrix(k, 1).matrix)
 
 
 def test_to_dense_cap():
@@ -509,17 +510,23 @@ def test_stacked_reduced_states_are_bitwise_the_per_state_ones(boundary, homogen
     """The one-site and block states, the amplitudes and the expectation
     values of a stack of five states are bitwise those each state gives
     alone: blocks and observables at the left end, in the bulk and at the
-    right end.  The stack's norms are bitwise each state's norm_squared."""
+    right end.  Several starts in one call are bitwise the per-start calls.
+    The stack's norms are bitwise each state's norm_squared."""
     seeds = [80 + k for k in range(5)]
     states = [sample_rmps(5, phys_dim, bond_dim, seed, homogeneous=homogeneous,
                           boundary=boundary) for seed in seeds]
     stack = mps._sample_stack(5, phys_dim, bond_dim, seeds, homogeneous, boundary)
-    sites = mps._site_states(stack)
+    sites = mps._block_states(stack, range(5), 1)
     assert sites.shape == (5, 5, phys_dim, phys_dim)
     for start, length in ((0, 2), (1, 3), (2, 1), (3, 2)):
-        blocks = mps._block_states(stack, start, length)
+        blocks = mps._block_states(stack, [start], length)[:, 0]
         for m, block in zip(states, blocks):
             assert np.array_equal(block, m.reduced_density_matrix(start, length).matrix)
+    for starts, length in (([3, 0, 2], 2), ([1, 2], 3)):
+        blocks = mps._block_states(stack, starts, length)
+        assert blocks.shape == (5, len(starts), phys_dim**length, phys_dim**length)
+        for j, start in enumerate(starts):
+            assert np.array_equal(blocks[:, j], mps._block_states(stack, [start], length)[:, 0])
     for m, rhos in zip(states, sites):
         assert np.array_equal(rhos, m.site_density_matrices())
     for m, psi in zip(states, stack.amplitudes()):
