@@ -130,17 +130,20 @@ def _source_from_params(p: dict, n: int, chi: int,
                         mixed_reference: str | None = None) -> RmpsSource | CueSource:
     """The source the params name.  A plan that compares against the
     maximally mixed state on two or more sites names that reference in
-    ``mixed_reference``: only non-homogeneous chains average to it."""
+    ``mixed_reference``: only non-homogeneous chains average to it.  A cue
+    source draws no chain, so it refuses the chain settings it would ignore."""
     kind = p.get("source", "rmps")
+    homogeneous, boundary = p.get("homogeneous", False), p.get("boundary", "obc")
     if kind == "cue":
+        if homogeneous or boundary != "obc":
+            raise ConfigError("a cue source takes only homogeneous: false and boundary 'obc'")
         return CueSource((2,) * n)
     if kind != "rmps":
         raise ConfigError(f"source must be 'rmps' or 'cue', got {kind!r}")
-    homogeneous = p.get("homogeneous", False)
     if homogeneous and mixed_reference:
         raise ConfigError(f"homogeneous chains do not average to the maximally mixed "
                           f"state: the reference {mixed_reference} needs homogeneous: false")
-    return RmpsSource(n, 2, chi, homogeneous, p.get("boundary", "obc"))
+    return RmpsSource(n, 2, chi, homogeneous, boundary)
 
 
 def _chi_sources(p: dict) -> list[RmpsSource]:
@@ -233,7 +236,8 @@ def _distance_plan(cfg: RunConfig, sources: list, name: str,
     """Average-state distance of each source's ensemble under the norm
     param, one row each: label(source), then distance and stderr."""
     norm = cfg.params["norm"]
-    ensembles._metric(norm)  # rejects an unknown norm before any draw
+    if norm not in ensembles.NORMS:
+        raise ConfigError(f"norm must be 'trace' or 'hs', got {norm!r}")
 
     def rows(spec):
         rep = ensembles.average_state_distance(spec, norm)

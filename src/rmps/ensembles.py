@@ -236,15 +236,18 @@ def average_state_convergence(spec: EnsembleSpec) -> np.ndarray:
     return dists
 
 
+NORMS = ("trace", "hs")  # average_state_distance's norms: trace (no 1/2), Hilbert-Schmidt
+
+
 def average_state_distance(spec: EnsembleSpec, norm: str = "trace") -> EnsembleReport:
     """Distance of the empirical average state from maximal mixedness.
 
-    The statistic is a nonlinear function of the whole sample, so the
-    uncertainty is a leave-one-out jackknife over the r states.  Leaving
-    sample i out gives B - psi_i psi_i^dag / (r - 1), with
-    B = r/(r - 1) avg - I/d.  One eigensolve of avg gives B's eigenvalues
-    lam and eigenvectors V.  In that basis, with the phases of
-    V^dag psi_i absorbed into it, the leave-one-out difference is
+    One eigensolve of avg gives the value, the norm of its eigenvalues less
+    1/d (I/d commutes with avg), and the leave-one-out jackknife over the r
+    states.  Leaving sample i out gives B - psi_i psi_i^dag / (r - 1), with
+    B = r/(r - 1) avg - I/d, whose eigenvalues lam and eigenvectors V come
+    from that solve.  In that basis, with the phases of V^dag psi_i
+    absorbed into it, the leave-one-out difference is
     the real symmetric diag(lam) - a a^T / (r - 1), a = |V^dag psi_i|,
     which has the same spectrum and so the same trace and HS norms.  The
     squared HS norm is closed, sum lam^2 - 2 sum lam a^2 / (r - 1) + |a|^4 / (r - 1)^2,
@@ -254,15 +257,15 @@ def average_state_distance(spec: EnsembleSpec, norm: str = "trace") -> EnsembleR
     its own 1 x d products, batched in chunks of _CHUNK_SAMPLES, so no
     value depends on that size.
     """
-    metric = _metric(norm)
+    if norm not in NORMS:
+        raise ValueError(f"norm must be 'trace' or 'hs', got {norm!r}")
     r, d = spec.r, total_dim(spec.source)
     states = _dense_states(spec)
-    avg = states.T @ states.conj() / r
-    target = np.eye(d, dtype=np.complex128) / d
-    value = metric(avg, target)
+    lam, v = np.linalg.eigh(states.T @ states.conj() / r)
+    x = lam - 1.0 / d
+    value = np.abs(x).sum() if norm == "trace" else np.sqrt(x @ x)
     se = 0.0
     if r > 1:
-        lam, v = np.linalg.eigh(avg)
         lam, rho, v = r / (r - 1) * lam - 1.0 / d, 1.0 / (r - 1), v.conj()
         if norm == "trace":
             norms = dense._trace_norm_kernel(lam, rho)
@@ -279,14 +282,6 @@ def average_state_distance(spec: EnsembleSpec, norm: str = "trace") -> EnsembleR
                                                out=buf[:part.stop - start])[:, 0]))
         se = _jackknife_se(loo)
     return EnsembleReport(spec, f"average_state_distance[{norm}]", float(value), se)
-
-
-def _metric(norm: str) -> Callable[[np.ndarray, np.ndarray], float]:
-    if norm == "trace":
-        return dense.trace_distance
-    if norm == "hs":
-        return dense.hs_distance
-    raise ValueError(f"norm must be 'trace' or 'hs', got {norm!r}")
 
 
 # Samples per chunk of every estimator's loop, fixed so that no table

@@ -492,6 +492,12 @@ PREFLIGHT = [
     ("purity-error", {"homogeneous": True}, 2, 2, "reference 1/d"),
     ("subsystem-convergence", {"homogeneous": True, "max_length": 1}, 0, 0, None),
     ("q-histogram", {"homogeneous": True}, 0, 0, None),
+    # a cue source draws no chain, so it refuses the chain settings it
+    # would ignore
+    ("q-histogram", {"source": "cue", "boundary": "pbc"}, 2, 2, "cue source takes only"),
+    ("q-histogram", {"source": "cue", "boundary": "bogus"}, 2, 2, "cue source takes only"),
+    ("avg-state-convergence", {"source": "cue", "homogeneous": True}, 2, 2,
+     "cue source takes only"),
     # the entries whose sample counts come from r_values take no r
     ("purity-scaling", {"r": 20}, 2, 2, "no top-level r"),
     ("twirl-compare", {"r": 20}, 2, 2, "no top-level r"),

@@ -132,11 +132,13 @@ def test_empirical_average_state_converges_like_sqrt_r():
 
 
 def test_average_state_distance_single_pure_state():
-    """One projector against I/d: eigenvalues give distance 2(1 - 1/d)."""
+    """One projector against I/d: its eigenvalues 1, 0, ..., 0 give trace
+    distance 2(1 - 1/d) and HS distance sqrt(1 - 1/d), with no error bar."""
     spec = EnsembleSpec(CueSource((2, 2, 2)), 1, Seed(7))
-    rep = average_state_distance(spec, "trace")
-    assert abs(rep.value - 2 * (1 - 1 / 8)) < 1e-10
-    assert rep.stderr == 0.0
+    for norm, want in [("trace", 2 * (1 - 1 / 8)), ("hs", math.sqrt(1 - 1 / 8))]:
+        rep = average_state_distance(spec, norm)
+        assert abs(rep.value - want) < 1e-10
+        assert rep.stderr == 0.0
 
 
 def test_average_state_distance_chi_independent():
@@ -170,7 +172,7 @@ def test_average_state_distance_norms():
 def _loop_average_state_distance(spec, norm):
     """The jackknife as a loop of full eigensolves: every leave-one-out
     average state against I/d through the dense distance functions."""
-    metric = ensembles._metric(norm)
+    metric = {"trace": dense.trace_distance, "hs": dense.hs_distance}[norm]
     r, d = spec.r, total_dim(spec.source)
     states = np.array([draw_dense(spec, i).amplitudes for i in range(r)])
     avg = states.T @ states.conj() / r
@@ -183,30 +185,41 @@ def _loop_average_state_distance(spec, norm):
 @pytest.mark.parametrize("n,r", [(4, 40), (7, 50), (4, 2)])
 @pytest.mark.parametrize("kind", ["obc", "pbc", "cue"])
 def test_average_state_jackknife_matches_full_eigensolves(kind, n, r, norm):
-    """The leave-one-out spectra solved in the average state's eigenbasis
-    give the loop's stderr within 1e-12 relative, for r > d, r < d and
-    r = 2, and the value is bitwise the loop's.  At r = 2 each
-    leave-one-out average is one pure state, all at the same distance,
-    so the exact stderr is 0 and both sides are roundoff."""
+    """The value read from the average state's spectrum, and the stderr
+    from the leave-one-out spectra solved in its eigenbasis, give the
+    loop's within 1e-12 relative, for r > d, r < d and r = 2.  At r = 2
+    each leave-one-out average is one pure state, all at the same
+    distance, so the exact stderr is 0 and both sides are roundoff."""
     source = CueSource((2,) * n) if kind == "cue" else RmpsSource(n, 2, 3, boundary=kind)
     spec = EnsembleSpec(source, r, Seed(41))
     rep = average_state_distance(spec, norm)
     value, se = _loop_average_state_distance(spec, norm)
-    assert rep.value == value
+    assert abs(rep.value - value) <= 1e-12 * value
     if r == 2:
         assert rep.stderr < 1e-14 and se < 1e-14
     else:
         assert abs(rep.stderr - se) <= 1e-12 * se
 
 
-def test_average_state_distance_solves_one_dense_distance(monkeypatch):
-    """dense.trace_distance runs once per call, for the value; the r
-    leave-one-out distances come from one contour integral."""
+@pytest.mark.parametrize("source", [RmpsSource(5, 2, 2), CueSource((2,) * 5)],
+                         ids=["rmps", "cue"])
+def test_average_state_jackknife_solves_no_eigenproblem(monkeypatch, source):
+    """The value and, at r > d, the r leave-one-out norms all come from one
+    eigh of the average state, in either norm and at r = 1: the jackknife
+    adds no eigensolve, and no eigvalsh and no dense distance runs."""
     calls = []
-    real = dense.trace_distance
-    monkeypatch.setattr(dense, "trace_distance", lambda a, b: calls.append(1) or real(a, b))
-    average_state_distance(EnsembleSpec(RmpsSource(5, 2, 2), 30, Seed(5)), "trace")
-    assert len(calls) == 1
+
+    def count(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: calls.append(name) or real(*a))
+    for owner, name in [(np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                        (dense, "trace_distance"), (dense, "hs_distance")]:
+        count(owner, name)
+    for r in [80, 1]:
+        for norm in ["trace", "hs"]:
+            calls.clear()
+            average_state_distance(EnsembleSpec(source, r, Seed(47)), norm)
+            assert calls == ["eigh"], (r, norm)
 
 
 @pytest.mark.parametrize("norm", ["trace", "hs"])
@@ -220,18 +233,6 @@ def test_average_state_jackknife_is_independent_of_the_chunk_size(monkeypatch, s
     default = average_state_distance(spec, norm)
     monkeypatch.setattr(ensembles, "_CHUNK_SAMPLES", 1)
     assert average_state_distance(spec, norm).stderr == default.stderr
-
-
-@pytest.mark.parametrize("source", [RmpsSource(5, 2, 2), CueSource((2,) * 5)],
-                         ids=["rmps", "cue"])
-def test_average_state_jackknife_solves_no_eigenproblem(monkeypatch, source):
-    """At r > d the r leave-one-out trace norms need no eigensolve: the
-    one eigvalsh call is the value's, the complex one of dense.trace_distance."""
-    calls = []
-    real = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.dtype) or real(a))
-    average_state_distance(EnsembleSpec(source, 80, Seed(47)), "trace")
-    assert calls == [np.complex128]
 
 
 @pytest.mark.parametrize("norm", ["trace", "hs"])
