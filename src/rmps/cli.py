@@ -617,10 +617,10 @@ def cost_estimate(cfg: RunConfig) -> str:
     dimension d), plus, for pairwise estimators, the same units again
     for each of the r(r-1)/2 pairs of the Gram sweep, plus the plan's
     work outside its ensembles.  Memory: the largest dense matrix or the
-    r samples of the largest ensemble, with four arrays of its largest
-    Gram block on top for pairwise estimators (a step's input
+    r samples of the largest ensemble, with four arrays of one square
+    Gram tile on top for pairwise estimators (a step's input
     environment, its two products and the boundary pair), and on tensor
-    ensembles the partial states of the two chain ends the Gram blocks
+    ensembles the partial states of the two chain ends the Gram tiles
     multiply out, D^K chi s numbers per sample and end (s = 1 on open
     chains, chi on rings).
     """
@@ -644,8 +644,7 @@ def cost_estimate(cfg: RunConfig) -> str:
         mem = 16 * spec.r * held
         if planned.pairwise:
             mem += 16 * spec.r * ends
-            mem += 4 * 16 * pair * max((stop - start) * (spec.r - start) for start, stop
-                                       in ensembles._row_blocks(spec.r, pair))
+            mem += 4 * 16 * pair * min(spec.r, ensembles._tile_side(pair))**2
         mem_bytes = max(mem_bytes, mem)
     return (f"estimate: ~{units:.2e} contraction units "
             f"(~{units / _NOMINAL_UNITS_PER_S:.2g} s nominal), "

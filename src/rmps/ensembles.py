@@ -345,15 +345,16 @@ def purity_of_average_via_overlaps(spec: EnsembleSpec) -> EnsembleReport:
     the Hilbert space dimension once r is large enough.
 
     Never materializes dense states for tensor ensembles, and never the
-    r x r overlap matrix: the upper triangle is swept in row blocks,
-    each one Gram block G[i, j] = <psi_i|psi_j> of its rows against
-    every column j >= its first row.  For tensor states that is
-    _Stack.gram: a sweep over the middle of the chain between the pair
-    products of its two ends, each end multiplied out once for all
-    blocks.  For dense ones it is one mps._pair_block product, the chain
-    with no middle and a single end of all d amplitudes.  The blocks run
-    last to first, so the norms n_i come from their diagonals.  The
-    uncertainty is a leave-one-state-out jackknife.
+    r x r overlap matrix: the upper triangle is swept in square tiles of
+    _tile_side samples a side, each one Gram block G[i, j] =
+    <psi_i|psi_j> of its rows against its columns.  For tensor states
+    that is _Stack.gram: a sweep over the middle of the chain between
+    the pair products of its two ends, each end multiplied out once for
+    all tiles.  For dense ones it is one mps._pair_block product, the
+    chain with no middle and a single end of all d amplitudes.  The row
+    tiles run last to first, each from its diagonal tile, so the norms
+    n_i come from the diagonals before the tiles right of them read
+    them.  The uncertainty is a leave-one-state-out jackknife.
     """
     r = spec.r
     states = _draw_stack(spec, slice(0, r))
@@ -361,13 +362,19 @@ def purity_of_average_via_overlaps(spec: EnsembleSpec) -> EnsembleReport:
         gram, pair_elements = states.gram, states.pair_elements
     else:
         gram, pair_elements = partial(_pair_block, states), 1
+    side = _tile_side(pair_elements)
     norms, row_sums = np.empty(r), np.zeros(r)
-    for start, stop in reversed(_row_blocks(r, pair_elements)):
-        g = gram(slice(start, stop), slice(start, r))
-        norms[start:stop] = g.diagonal().real
-        w = np.triu(np.abs(g) ** 2 / np.outer(norms[start:stop], norms[start:]), 1)
-        row_sums[start:stop] += w.sum(axis=1)
-        row_sums[start:] += w.sum(axis=0)
+    for start in reversed(range(0, r, side)):
+        rows = slice(start, start + side)
+        for col in range(start, r, side):
+            cols = slice(col, col + side)
+            g = gram(rows, cols)
+            if col == start:
+                norms[rows] = g.diagonal().real
+            # pairs i < j only: strictly upper on the diagonal tile, all right of it
+            w = np.triu(np.abs(g) ** 2 / np.outer(norms[rows], norms[cols]), start - col + 1)
+            row_sums[rows] += w.sum(axis=1)
+            row_sums[cols] += w.sum(axis=0)
     cross = float(row_sums.sum()) / r**2
     if r > 2:
         loo = (row_sums.sum() - 2.0 * row_sums) / (r - 1) ** 2
@@ -377,26 +384,22 @@ def purity_of_average_via_overlaps(spec: EnsembleSpec) -> EnsembleReport:
     return EnsembleReport(spec, "purity_of_average_cross_term", cross, se)
 
 
-# Element budget of one Gram block's largest array, 512 KiB of complex
-# numbers; it bounds the estimator's extra memory whatever r is.  With
-# the chain ends multiplied out (1 BLAS thread, 2-vCPU Xeon with 4 MiB of
-# L2, cli.run at three checkout paths): on pair-overlaps 2^15 took
-# 0.50-0.68 s, 42.9-43.2 MiB and 7.7k minor faults, 2^16 0.60-1.01 s,
-# 45.0-45.4 MiB and 111k faults, 2^14 0.84-1.16 s; on a ring (n=10, chi=2,
-# r=400) all three took 0.22-0.39 s, at 40.1 MiB and 53k faults for 2^15.
+# Element budget of one Gram tile's largest array, 512 KiB of complex
+# numbers; it bounds the estimator's extra memory whatever r is.  Tile
+# sides 45, 64 and 90 on open chi = 2 chains for 2^14, 2^15 and 2^16 (1
+# BLAS thread, 2-vCPU Xeon with 4 MiB of L2, cli.run at three checkout
+# paths): on pair-overlaps 2^15 took 0.37-0.51 s, 42.8-43.0 MiB and 1.6k
+# minor faults, 2^14 0.42-0.65 s, 2^16 0.61-0.69 s, 44.5-44.9 MiB and 172k
+# faults; on a ring (n=10, chi=2, r=400) 2^15 took 0.21-0.28 s with 63k
+# faults, 2^16 0.21-0.24 s, and 2^14 0.14-0.16 s at two paths but
+# 0.22-0.24 s with 61k faults at the third.
 _GRAM_BLOCK_ELEMENTS = 2**15
 
 
-def _row_blocks(r: int, pair_elements: int) -> list[tuple[int, int]]:
-    """Row ranges [start, stop) of the Gram blocks over r samples: as
-    many rows as keep rows * (r - start) * pair_elements within
-    _GRAM_BLOCK_ELEMENTS, and at least one."""
-    blocks, start = [], 0
-    while start < r:
-        stop = min(r, start + max(1, _GRAM_BLOCK_ELEMENTS // ((r - start) * pair_elements)))
-        blocks.append((start, stop))
-        start = stop
-    return blocks
+def _tile_side(pair_elements: int) -> int:
+    """Samples a side of the square Gram tiles: the most whose side^2 *
+    pair_elements fits _GRAM_BLOCK_ELEMENTS, and at least one."""
+    return max(1, math.isqrt(_GRAM_BLOCK_ELEMENTS // pair_elements))
 
 
 def purity_relative_error(spec: EnsembleSpec, report: EnsembleReport) -> float:

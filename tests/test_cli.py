@@ -653,7 +653,7 @@ def test_cost_estimate_counts_monte_carlo_twirl(tmp_path):
 def test_cost_estimate_counts_ring_sweeps_and_gram_blocks(tmp_path):
     """A ring sweep carries the chi^2 boundary axis, so the pbc estimate
     is chi^2 times the obc one; the memory of a pairwise plan counts its
-    Gram block arrays and the partial states of its two chain ends on top
+    Gram tile arrays and the partial states of its two chain ends on top
     of the samples."""
     units, mb = {}, {}
     for boundary in ("obc", "pbc"):
@@ -665,10 +665,10 @@ def test_cost_estimate_counts_ring_sweeps_and_gram_blocks(tmp_path):
     assert units["obc"] == float(f"{obc:.2e}")
     assert units["pbc"] == float(f"{4**2 * obc:.2e}")
     samples = 16 * 200 * 8 * 2 * 4**2 / 2**20
-    # the first obc block alone: its rows x 200 columns x D chi^2 elements
-    start, stop = ensembles._row_blocks(200, 2 * 4**2)[0]
-    assert start == 0 and stop > 1
+    # one obc tile: side x side pairs x D chi^2 elements
+    side = ensembles._tile_side(2 * 4**2)
+    assert 1 < side < 200
     # each end of K sites: D^K x chi numbers per sample on an open chain
     ends = 16 * 200 * sum(2**k for k in mps._end_sites(8, 2, 4, "obc")) * 4 / 2**20
-    assert mb["obc"] >= samples + ends + 4 * 16 * stop * 200 * 2 * 4**2 / 2**20 - 0.01
+    assert mb["obc"] >= samples + ends + 4 * 16 * side**2 * 2 * 4**2 / 2**20 - 0.01
     assert mb["pbc"] > mb["obc"]

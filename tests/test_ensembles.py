@@ -388,33 +388,64 @@ GRAM_SOURCES = [
 @pytest.mark.parametrize("blocking", ["rows of one", "one block", "uneven blocks"])
 @pytest.mark.parametrize("idx", range(len(GRAM_SOURCES)))
 def test_purity_estimator_gram_blocks_match_pairwise_reference(monkeypatch, idx, blocking):
-    """Whatever the Gram block budget, the cross term and its stderr
-    equal the sum over pairs of single overlaps, to 1e-12 relative."""
+    """Whatever the Gram tile budget (tiles of one sample a side, one tile
+    of all r, or tiles of 7 that leave a 5-sample edge), the cross term
+    and its stderr equal the sum over pairs of single overlaps, to 1e-12
+    relative."""
     src, pair_elements = GRAM_SOURCES[idx]
     r = 12
     budget = {"rows of one": 1, "one block": 2**40,
               "uneven blocks": 5 * r * pair_elements}[blocking]
     monkeypatch.setattr(ensembles, "_GRAM_BLOCK_ELEMENTS", budget)
     seen = []
-    row_blocks = ensembles._row_blocks
+    tile_side = ensembles._tile_side
 
-    def spy(n, per_pair):
-        seen.append((n, per_pair))
-        blocks = row_blocks(n, per_pair)
-        seen.append(blocks)
-        return blocks
+    def spy(per_pair):
+        seen.append((per_pair, tile_side(per_pair)))
+        return seen[-1][1]
 
-    monkeypatch.setattr(ensembles, "_row_blocks", spy)
+    monkeypatch.setattr(ensembles, "_tile_side", spy)
     spec = EnsembleSpec(src, r, subseed(29, idx))
     rep = purity_of_average_via_overlaps(spec)
-    assert seen[0] == (r, pair_elements)
-    sizes = [stop - start for start, stop in seen[1]]
-    assert sum(sizes) == r
-    assert {"rows of one": sizes == [1] * r, "one block": sizes == [r],
-            "uneven blocks": sizes[0] == 5 and r % 5 != 0}[blocking]
+    assert len(seen) == 1 and seen[0][0] == pair_elements
+    side = seen[0][1]
+    assert {"rows of one": side == 1, "one block": side >= r,
+            "uneven blocks": side == 7}[blocking]
     cross, se = _pairwise_purity_reference(spec)
     assert rep.value == pytest.approx(cross, rel=1e-12, abs=0)
     assert rep.stderr == pytest.approx(se, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("src", [RmpsSource(5, 2, 3, boundary="pbc"), RmpsSource(9, 2, 2),
+                                 CueSource((2, 2, 2, 2))], ids=["ring", "open", "cue"])
+def test_gram_tiles_stay_within_budget_at_any_r(monkeypatch, src):
+    """Every Gram call holds rows * cols * pair_elements within the budget,
+    also where r * pair_elements is many times the budget."""
+    pair_elements = mps._pair_elements(src.phys_dim, src.bond_dim, src.boundary) \
+        if isinstance(src, RmpsSource) else 1
+    budget, r = 10 * pair_elements, 40
+    monkeypatch.setattr(ensembles, "_GRAM_BLOCK_ELEMENTS", budget)
+    calls = []
+    gram, pair_block = mps._Stack.gram, ensembles._pair_block
+
+    def gram_spy(self, rows, cols):
+        calls.append((rows, cols))
+        return gram(self, rows, cols)
+
+    def pair_block_spy(v, rows, cols):
+        calls.append((rows, cols))
+        return pair_block(v, rows, cols)
+
+    monkeypatch.setattr(mps._Stack, "gram", gram_spy)
+    monkeypatch.setattr(ensembles, "_pair_block", pair_block_spy)
+    purity_of_average_via_overlaps(EnsembleSpec(src, r, subseed(41, 0)))
+    sizes = [len(range(r)[rows]) * len(range(r)[cols]) for rows, cols in calls]
+    assert max(sizes) * pair_elements <= budget
+    # each pair i < j, and each norm i = j, lies in exactly one tile
+    covered = np.zeros((r, r), dtype=int)
+    for rows, cols in calls:
+        covered[rows, cols] += 1
+    assert (np.triu(covered) == np.triu(np.ones((r, r), dtype=int))).all()
 
 
 def test_gram_sources_reach_empty_odd_and_even_middles():
@@ -426,11 +457,11 @@ def test_gram_sources_reach_empty_odd_and_even_middles():
 
 
 def test_purity_estimator_builds_each_chain_end_once(monkeypatch):
-    """With one row per Gram block, one estimate still multiplies out each
-    chain end's partial states exactly once, not once per block."""
+    """With Gram tiles of one sample a side, one estimate still multiplies
+    out each chain end's partial states exactly once, not once per tile."""
     src, r = RmpsSource(13, 2, 2), 12
     monkeypatch.setattr(ensembles, "_GRAM_BLOCK_ELEMENTS", 1)
-    assert len(ensembles._row_blocks(r, 8)) == r
+    assert ensembles._tile_side(8) == 1
     built = []
     end_states = mps._end_states
 
