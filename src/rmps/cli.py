@@ -28,7 +28,7 @@ is written even when the run fails.  Sampling is derived per sample
 index from the master seed, so table bytes are reproducible.  A run is
 one process: --workers is checked and otherwise ignored, and the
 estimators draw the samples of both sources in chunks sized by fixed
-constants (ensembles._chunks), never derived from it.
+constants (ensembles._per_sample), never derived from it.
 
 Exit codes: 0 success, 2 invalid config or parameters, 3 a size cap
 would be exceeded, 4 output I/O failure.
@@ -71,6 +71,7 @@ class RunConfig:
     seed: Seed
     out: Path
     format: str  # "csv" | "jsonl"
+    given: frozenset[str] = frozenset()  # the params the file or an override set
 
 
 @dataclass
@@ -333,6 +334,7 @@ def _plan_q_histogram(cfg: RunConfig) -> Plan:
     spec = EnsembleSpec(_source_from_params(p, n, p["chi"]), cfg.r, cfg.seed)
     if bins < 1:
         raise ConfigError(f"Q statistics need bins >= 1, got {bins}")
+    dense.check_bin_cap(bins)
 
     def execute():
         hist, mean_rep, std_rep = ensembles.q_statistics(spec, bins)
@@ -555,18 +557,22 @@ def load_config(path, overrides=(), seed_flag=None, out_flag=None) -> RunConfig:
                           f"got {r!r}, {seed!r} and {out!r}")
     if r is not None and r < 1:
         raise ConfigError(f"r must be positive, got {r}")
-    return RunConfig(name, params, r, Seed(seed), Path(out), top["format"])
+    given = frozenset(key for key, _ in merged if key in exp.defaults)
+    return RunConfig(name, params, r, Seed(seed), Path(out), top["format"], given)
 
 
 def plan(cfg: RunConfig) -> Plan:
     """Check cfg's params and build every ensemble of the run, drawing
     nothing; raise ConfigError or DimensionError (exit 2) or
     CapExceededError (exit 3).  The rules all entries share hold here:
-    an entry with no default r takes none, a param has its default's
-    JSON type, a list param (a grid axis) is not empty, and every planned
-    ensemble has r >= 2 samples (r >= 3 under a jackknife, so that each
+    a cue source set in the config takes no chi set beside it, an entry
+    with no default r takes none, a param has its default's JSON type, a
+    list param (a grid axis) is not empty, and every planned ensemble
+    has r >= 2 samples (r >= 3 under a jackknife, so that each
     leave-one-out set keeps two)."""
     exp = REGISTRY[cfg.experiment]
+    if cfg.params.get("source") == "cue" and {"source", "chi"} <= cfg.given:
+        raise ConfigError("a cue source draws no chain, so it takes no chi")
     if exp.default_r is None and cfg.r is not None:
         raise ConfigError(f"{cfg.experiment} takes its sample counts from r_values "
                           f"and no top-level r, got r = {cfg.r}")

@@ -34,6 +34,11 @@ DENSITY_DIM_CAP = 2**10
 # took 0.7-0.9 s, while at 2^9 the split (16, 32) took 14 s and at 2^10 the
 # split (4, 256) took 35 s.
 CUE_MIN_EIG_DIM_CAP = 2**8
+# Bins of a Q histogram, each one table row.  `rmps run` of q-histogram at
+# r = 3 and 1 BLAS thread on a 2-core x86 box took 0.23 s, 71 MiB of peak
+# RSS and a 2.5 MB table at 2^16 bins (38 MiB at 100 bins); at 2^20 bins it
+# took 3.9 s, 568 MiB and a 42 MB table.
+HISTOGRAM_BIN_CAP = 2**16
 
 
 def check_amplitude_cap(total_dim: int) -> None:
@@ -52,6 +57,11 @@ def check_min_eig_cap(d_a: int, d_b: int) -> None:
     if d_a <= d_b and d_a * d_b > CUE_MIN_EIG_DIM_CAP:
         raise CapExceededError(f"exact min-eigenvalue reference at d_a * d_b = "
                                f"{_size(d_a * d_b)} exceeds cap {CUE_MIN_EIG_DIM_CAP}")
+
+
+def check_bin_cap(bins: int) -> None:
+    if bins > HISTOGRAM_BIN_CAP:
+        raise CapExceededError(f"histogram of {_size(bins)} bins exceeds cap {HISTOGRAM_BIN_CAP}")
 
 
 def _size(dim: int) -> str:

@@ -18,15 +18,16 @@ the fourth-moment delta formula for reported standard deviations.
 Every sample is drawn by `_draw_stack`, a range of samples at once: a
 stack of matrix product states (mps._sample_stack) or a CueSource's rows
 of normalized amplitudes; `draw_mps` and `draw_dense` are its chunks of
-one.  Every estimator reads the samples in index order in chunks of a
-fixed size rule (`_chunks`), each reduced by source in one expression:
-to amplitudes (`_dense_states`), leading-block spectra, each solved once
-(`_block_spectra`), one-site states (Q), both closed by
-mps._block_states, or expectation values (`concentration`).  The
-pairwise purity draws all r samples at once.  A report of per-sample
-values is built once, and frozen, by one of two builders: `_mean_report`
-(the mean, or its distance from an exact reference) and `_spread_report`
-(the sample standard deviation).  A source checks its chain through
+one.  Every per-sample estimator is one `_per_sample` call, which draws
+the samples in index order in chunks of a fixed size rule, reduces each
+chunk by source in one expression and writes the results by sample
+index into one array: amplitudes (`_dense_states`), leading-block
+spectra, each solved once (`_block_spectra`), Q from one-site states,
+both closed by mps._block_states, or expectation values
+(`concentration`).  The pairwise purity draws all r samples at once.
+A report of per-sample values is built once, and frozen, by one of two
+builders: `_mean_report` (the mean, or its distance from an exact
+reference) and `_spread_report` (the sample standard deviation).  A source checks its chain through
 mps._check_chain and its CUE site dimensions through
 dense._validated_dims; `_split_length` owns the leading-block split.
 """
@@ -208,12 +209,8 @@ def _stddev_se(values: np.ndarray) -> float:
 
 def _dense_states(spec: EnsembleSpec) -> np.ndarray:
     """The r samples' normalized amplitudes as an r x d array, d within the density cap."""
-    d = total_dim(spec.source)
-    dense.check_density_cap(d)
-    states = np.empty((spec.r, d), dtype=np.complex128)
-    for part, rows in _chunks(spec, amplitudes=True):
-        states[part] = rows
-    return states
+    dense.check_density_cap(total_dim(spec.source))
+    return _per_sample(spec, lambda rows: rows, amplitudes=True)
 
 
 def empirical_average_state(spec: EnsembleSpec) -> DensityMatrix:
@@ -294,9 +291,11 @@ _CHUNK_SAMPLES = 16
 _CHUNK_ELEMENTS = 2**14
 
 
-def _chunks(spec: EnsembleSpec, amplitudes: bool = False, d_a: int = 1):
-    """(index slice, _draw_stack chunk) of each chunk of samples, in index
-    order.  A sample counts its d amplitudes (CueSource) or its sweep arrays,
+def _per_sample(spec: EnsembleSpec, reduce: Callable, amplitudes: bool = False,
+                d_a: int = 1) -> np.ndarray:
+    """reduce(chunk) of each _draw_stack chunk, drawn in index order and
+    written by index into one (r, ...) array typed by the first result.
+    A sample counts its d amplitudes (CueSource) or its sweep arrays,
     with ``amplitudes`` the D^N chi (D^N chi^2 on rings) of their build, and
     the d_a^2 entries of the block state a block estimator builds from it."""
     src, per_sample = spec.source, total_dim(spec.source)
@@ -305,9 +304,14 @@ def _chunks(spec: EnsembleSpec, amplitudes: bool = False, d_a: int = 1):
         per_sample = max(src.n_sites * _pair_elements(src.phys_dim, chi, src.boundary),
                          per_sample * chi ** (1 + (src.boundary == "pbc")) if amplitudes else 0)
     size = max(1, min(_CHUNK_SAMPLES, _CHUNK_ELEMENTS // max(per_sample, d_a**2)))
+    out = None
     for start in range(0, spec.r, size):
         part = slice(start, min(spec.r, start + size))
-        yield part, _draw_stack(spec, part, amplitudes)
+        values = reduce(_draw_stack(spec, part, amplitudes))
+        if out is None:
+            out = np.empty((spec.r, *values.shape[1:]), values.dtype)
+        out[part] = values
+    return out
 
 
 def _block_spectra(spec: EnsembleSpec, length: int) -> np.ndarray:
@@ -316,12 +320,9 @@ def _block_spectra(spec: EnsembleSpec, length: int) -> np.ndarray:
     dims = source_dims(spec.source)
     d_a = math.prod(dims[:length])
     dense.check_density_cap(d_a)
-    spectra = np.empty((spec.r, d_a))
-    for part, chunk in _chunks(spec, d_a=d_a):
-        spectra[part] = dense._validated_spectra(
-            _block_states(chunk, [0], length)[:, 0] if isinstance(chunk, _Stack)
-            else dense._pure_reductions(dense._normalized_rows(chunk), dims, range(length)))
-    return spectra
+    return _per_sample(spec, lambda chunk: dense._validated_spectra(
+        _block_states(chunk, [0], length)[:, 0] if isinstance(chunk, _Stack)
+        else dense._pure_reductions(dense._normalized_rows(chunk), dims, range(length))), d_a=d_a)
 
 
 def subsystem_distance_stats(spec: EnsembleSpec, length: int) -> EnsembleReport:
@@ -432,11 +433,10 @@ def q_statistics(spec: EnsembleSpec, bins: int = 100
         raise ValueError("Q statistics need at least two samples")
     if bins < 1:
         raise ValueError(f"bin count must be positive, got {bins}")
-    qs = np.empty(spec.r)
-    for part, chunk in _chunks(spec):
-        qs[part] = dense.global_entanglement_from_sites(
-            _block_states(chunk, range(len(dims)), 1) if isinstance(chunk, _Stack)
-            else dense._pure_site_states(chunk, dims))
+    dense.check_bin_cap(bins)
+    qs = _per_sample(spec, lambda chunk: dense.global_entanglement_from_sites(
+        _block_states(chunk, range(len(dims)), 1) if isinstance(chunk, _Stack)
+        else dense._pure_site_states(chunk, dims)))
     # Q lies in [0, 1] exactly; clip the ~1e-16 roundoff excursions once,
     # so every sample lands in a bin and no statistic leaves [0, 1].
     np.clip(qs, 0.0, 1.0, out=qs)
@@ -524,9 +524,7 @@ def concentration(spec: EnsembleSpec, observable: LocalObservable) -> EnsembleRe
     observable.check_fits(src.n_sites, src.phys_dim)
     if spec.r < 2:
         raise ValueError("a standard deviation needs at least two samples")
-    vals = np.empty(spec.r)
-    for part, stack in _chunks(spec):
-        vals[part] = _expectations(stack, observable)
+    vals = _per_sample(spec, partial(_expectations, obs=observable))
     return _spread_report(spec, f"concentration[n={src.n_sites},chi={src.bond_dim}]", vals)
 
 

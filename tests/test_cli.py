@@ -188,26 +188,38 @@ def test_identical_configs_reproduce_identical_bytes(tmp_path):
 
 
 def test_worker_count_never_affects_outputs(tmp_path):
-    cfg = write_cfg(tmp_path, "concentration-scan",
-                    {"r": 60, "seed": 2, "params": {"ns": [3, 4], "chi_rule": "const:2"}})
-    data = {}
-    for workers in ("1", "4"):
-        out_dir = tmp_path / f"w{workers}"
-        assert main(["run", str(cfg), "--workers", workers, "--out", str(out_dir)]) == 0
-        data[workers] = (out_dir / "concentration.csv").read_bytes()
-    assert data["1"] == data["4"]
+    """A per-sample (concentration-scan), a pairwise (purity-error) and a
+    block (moments-vs-chi) experiment write the same bytes at any
+    --workers."""
+    cases = [("concentration-scan",
+              {"r": 60, "seed": 2, "params": {"ns": [3, 4], "chi_rule": "const:2"}},
+              "concentration.csv")]
+    cases += [(name, dict(TINY[name], seed=2), table) for name, table in (
+        ("purity-error", "purity_relative_error.csv"), ("moments-vs-chi", "moments_vs_chi.csv"))]
+    for name, body, table in cases:
+        cfg = write_cfg(tmp_path, name, body, fname=f"{name}.json")
+        data = {}
+        for workers in ("1", "4"):
+            out_dir = tmp_path / f"{name}-w{workers}"
+            assert main(["run", str(cfg), "--workers", workers, "--out", str(out_dir)]) == 0
+            data[workers] = (out_dir / table).read_bytes()
+        assert data["1"] == data["4"], name
 
 
 def test_chunk_size_never_affects_outputs(tmp_path, monkeypatch):
     """Every chunked experiment writes byte-identical tables whatever the
     number of samples per chunk, on matrix product state and CUE sources
-    (chi-independence has a CUE row), with r not a multiple of 3 so the
-    last chunk is a short one."""
+    (chi-independence has a CUE row), on a ring and on a homogeneous
+    chain, with r not a multiple of 3 so the last chunk is a short one.
+    A cue source takes no chi, so its cases drop it."""
     cases = [(name, TINY[name]["params"]) for name in (
         "q-histogram", "q-vs-chi", "moments-vs-chi", "min-eig-vs-chi", "subsystem-convergence",
         "chi-independence", "avg-state-convergence", "concentration-scan")]
-    cases += [(name, dict(TINY[name]["params"], source="cue"))
+    cases += [(name, dict({k: v for k, v in TINY[name]["params"].items() if k != "chi"},
+                          source="cue"))
               for name in ("q-histogram", "bound-comparison")]
+    cases += [("q-histogram", dict(TINY["q-histogram"]["params"], **chain))
+              for chain in ({"boundary": "pbc"}, {"homogeneous": True})]
     default = ensembles._CHUNK_SAMPLES
     data = {}
     for chunk in (1, 3, default):
@@ -220,7 +232,7 @@ def test_chunk_size_never_affects_outputs(tmp_path, monkeypatch):
             assert main(["run", str(cfg), "--out", str(out_dir)]) == 0, name
             for path in sorted(out_dir.glob("*.csv")):
                 data.setdefault((k, name, path.name), []).append(path.read_bytes())
-    assert len(data) == 12
+    assert len(data) == 16
     for key, tables in data.items():
         assert tables[0] == tables[1] == tables[2], key
 
@@ -246,6 +258,19 @@ def test_override_parsing_and_unknown_keys(tmp_path):
                  "--out", str(cfg.parent / "x")]) == 2
     assert main(["run", str(cfg), "--override", "no_equals_sign",
                  "--out", str(cfg.parent / "y")]) == 2
+
+
+def test_overrides_count_as_set_params(tmp_path):
+    """A param an override sets counts as set, as one the file sets does:
+    a cue source and a chi set by either refuse each other."""
+    cue = write_cfg(tmp_path, "avg-state-convergence", {"r": 20, "params": {"source": "cue"}})
+    assert load_config(cue).given == {"source"}
+    assert load_config(cue, overrides=["chi=64", "r=15"]).given == {"source", "chi"}
+    assert main(["run", str(cue), "--override", "chi=64", "--out", str(tmp_path / "a")]) == 2
+    chi = write_cfg(tmp_path, "avg-state-convergence", {"r": 20, "params": {"chi": 4}},
+                    fname="chi.json")
+    assert main(["validate", str(chi), "--override", "source=cue"]) == 2
+    assert main(["run", str(chi), "--out", str(tmp_path / "b")]) == 0
 
 
 def test_config_validation_errors(tmp_path):
@@ -448,6 +473,10 @@ PREFLIGHT = [
     ("subsystem-convergence", {"n": 11, "max_length": 11}, 2, 3, "exceeds cap"),
     ("concentration-scan", {"ns": [8, 10, 3], "site": 4}, 2, 2, "does not fit"),
     ("q-histogram", {"bins": 0}, 2, 2, "bins"),
+    # a histogram row per bin: the bin count is capped like any array
+    ("q-histogram", {"bins": 2**16}, 0, 0, None),
+    ("q-histogram", {"bins": 2**16 + 1}, 2, 3, "exceeds cap"),
+    ("q-histogram", {"bins": 10**9}, 2, 3, "exceeds cap"),
     ("purity-scaling", {"r_values": [300, 0]}, 2, 2, "sample count must be positive"),
     ("distance-vs-chi", {"norm": "l1"}, 2, 2, "norm must be"),
     ("q-histogram", {"boundary": "open"}, 2, 2, "boundary must be"),
@@ -498,6 +527,12 @@ PREFLIGHT = [
     ("q-histogram", {"source": "cue", "boundary": "bogus"}, 2, 2, "cue source takes only"),
     ("avg-state-convergence", {"source": "cue", "homogeneous": True}, 2, 2,
      "cue source takes only"),
+    # nor a chi set beside it; the default chi, and a chi beside
+    # bound-comparison's default cue source, are accepted
+    ("avg-state-convergence", {"source": "cue", "chi": 64, "n": 3}, 2, 2, "takes no chi"),
+    ("avg-state-convergence", {"source": "cue", "n": 3}, 0, 0, None),
+    ("bound-comparison", {"source": "cue", "chi": 8}, 2, 2, "takes no chi"),
+    ("bound-comparison", {"chi": 8, "bath_sizes": [3]}, 0, 0, None),
     # the entries whose sample counts come from r_values take no r
     ("purity-scaling", {"r": 20}, 2, 2, "no top-level r"),
     ("twirl-compare", {"r": 20}, 2, 2, "no top-level r"),

@@ -570,6 +570,18 @@ def test_q_statistics_rejects_bin_count_before_drawing(monkeypatch):
     assert calls == []
 
 
+def test_q_statistics_caps_bin_count_before_drawing(monkeypatch):
+    """A histogram of more than HISTOGRAM_BIN_CAP bins is refused before
+    the first draw; one of exactly the cap is drawn."""
+    spec = EnsembleSpec(RmpsSource(4, 2, 2), 7, Seed(3))
+    calls = counting_draws(monkeypatch)
+    with pytest.raises(CapExceededError):
+        q_statistics(spec, bins=dense.HISTOGRAM_BIN_CAP + 1)
+    assert calls == []
+    hist, _, _ = q_statistics(spec, bins=dense.HISTOGRAM_BIN_CAP)
+    assert hist.counts.size == dense.HISTOGRAM_BIN_CAP and calls == list(range(7))
+
+
 def test_moment_comparison_product_states():
     """Bond dimension 1: subsystem moments are exactly 1, so the deviation
     is 1 minus the exact Haar moment."""
@@ -834,33 +846,38 @@ def test_report_invariants():
 
 
 def test_chunks_draw_in_index_order_within_their_budget(monkeypatch):
-    """Chunks cover samples 0 .. r-1 in order: _CHUNK_SAMPLES at a time on
-    a small open chain, fewer at chi = 16, and one at a time on a ring
-    whose one sample already fills the element budget.  An amplitude
+    """_per_sample draws samples 0 .. r-1 in order: _CHUNK_SAMPLES at a
+    time on a small open chain, fewer at chi = 16, and one at a time on a
+    ring whose one sample already fills the element budget.  An amplitude
     chunk also counts the D^N chi (D^N chi^2 on rings) numbers of its
     build, and a CUE chunk its d amplitudes per sample.  A block
     estimator's chunk also counts the d_A^2 entries of each block state,
-    one sample at a time at d_A = 256."""
-    for source, amplitudes, want in (
-            (RmpsSource(4, 2, 2), False, [16, 4]), (RmpsSource(8, 2, 16), False, [4, 4, 1]),
-            (RmpsSource(4, 2, 8, boundary="pbc"), False, [1, 1]),
-            (RmpsSource(10, 2, 4), False, [16, 1]), (RmpsSource(10, 2, 4), True, [4, 4, 1]),
-            (RmpsSource(9, 2, 2, boundary="pbc"), True, [8, 1]),
-            (CueSource((2,) * 4), False, [16, 16, 2]), (CueSource((2,) * 12), True, [4, 1]),
-            (CueSource((2,) * 15), False, [1, 1])):
-        spec = EnsembleSpec(source, sum(want), Seed(0))
-        parts = [(part, len(chunk) if isinstance(chunk, np.ndarray) else len(chunk.tensors[0]))
-                 for part, chunk in ensembles._chunks(spec, amplitudes)]
-        assert [size for _, size in parts] == want, (source, amplitudes)
-        assert [i for part, _ in parts for i in range(part.start, part.stop)] == \
-            list(range(spec.r))
-    for source, d_a, want in ((RmpsSource(8, 2, 2), 8, [16, 1]), (RmpsSource(8, 2, 2), 64, [4, 1]),
-                              (RmpsSource(8, 2, 2), 256, [1, 1]), (CueSource((2,) * 8), 256, [1, 1])):
-        spec = EnsembleSpec(source, sum(want), Seed(0))
-        sizes = [part.stop - part.start for part, _ in ensembles._chunks(spec, d_a=d_a)]
-        assert sizes == want, (source, d_a)
+    one sample at a time at d_A = 256.  Each chunk's values land at its
+    own sample indices."""
     parts, draw = [], ensembles._draw_stack
     monkeypatch.setattr(ensembles, "_draw_stack",
                         lambda spec, part, *a: parts.append(part) or draw(spec, part, *a))
+
+    def chunk_numbers(chunk):  # every sample of chunk k reads k
+        size = len(chunk) if isinstance(chunk, np.ndarray) else len(chunk.tensors[0])
+        return np.full(size, len(parts))
+
+    for source, amplitudes, d_a, want in (
+            (RmpsSource(4, 2, 2), False, 1, [16, 4]), (RmpsSource(8, 2, 16), False, 1, [4, 4, 1]),
+            (RmpsSource(4, 2, 8, boundary="pbc"), False, 1, [1, 1]),
+            (RmpsSource(10, 2, 4), False, 1, [16, 1]), (RmpsSource(10, 2, 4), True, 1, [4, 4, 1]),
+            (RmpsSource(9, 2, 2, boundary="pbc"), True, 1, [8, 1]),
+            (CueSource((2,) * 4), False, 1, [16, 16, 2]), (CueSource((2,) * 12), True, 1, [4, 1]),
+            (CueSource((2,) * 15), False, 1, [1, 1]),
+            (RmpsSource(8, 2, 2), False, 8, [16, 1]), (RmpsSource(8, 2, 2), False, 64, [4, 1]),
+            (RmpsSource(8, 2, 2), False, 256, [1, 1]), (CueSource((2,) * 8), False, 256, [1, 1])):
+        spec = EnsembleSpec(source, sum(want), Seed(0))
+        parts.clear()
+        out = ensembles._per_sample(spec, chunk_numbers, amplitudes, d_a)
+        assert [part.stop - part.start for part in parts] == want, (source, amplitudes, d_a)
+        assert [i for part in parts for i in range(part.start, part.stop)] == \
+            list(range(spec.r))
+        assert out.tolist() == [k for k, size in enumerate(want, 1) for _ in range(size)]
+    parts.clear()
     subsystem_distance_stats(EnsembleSpec(RmpsSource(8, 2, 2), 2, Seed(0)), 8)
     assert parts == [slice(0, 1), slice(1, 2)]
