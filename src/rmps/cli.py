@@ -89,8 +89,9 @@ class Plan:
     ensemble it draws, the linear dimension of the largest dense matrix
     it holds (0 for none), whether its estimator sweeps all r(r-1)/2
     sample pairs, whether its error bars are leave-one-out jackknifes,
-    the work units it spends outside its ensembles, and ``execute``,
-    which draws and returns the tables."""
+    the work units it spends outside its ensembles, the table rows it
+    writes where they grow with a param, and ``execute``, which draws and
+    returns the tables."""
 
     specs: list[EnsembleSpec]
     execute: Callable[[], list[Table]]
@@ -98,6 +99,7 @@ class Plan:
     pairwise: bool = False
     jackknife: bool = False
     extra_units: int = 0
+    table_rows: int = 0
 
 
 @dataclass
@@ -178,7 +180,7 @@ def _plan_avg_state_convergence(cfg: RunConfig) -> Plan:
     spec = EnsembleSpec(_source_from_params(p, p["n"], p["chi"], "I/d"), cfg.r, cfg.seed)
     return _table_plan("distance_vs_r", ("r_prefix", "trace_distance"), [spec],
                        lambda spec: enumerate(ensembles.average_state_convergence(spec), 1),
-                       dense_dim=ensembles.total_dim(spec.source))
+                       dense_dim=ensembles.total_dim(spec.source), table_rows=cfg.r)
 
 
 @_register("subsystem-convergence",
@@ -347,7 +349,7 @@ def _plan_q_histogram(cfg: RunConfig) -> Plan:
                   ("mean", "stderr_mean", "stddev", "stderr_stddev", "haar_mean"),
                   stats_rows),
         ]
-    return Plan([spec], execute)
+    return Plan([spec], execute, table_rows=bins + 1)
 
 
 def _q_plan(cfg: RunConfig, name: str, columns: tuple[str, ...],
@@ -613,6 +615,10 @@ def validate_config(cfg: RunConfig) -> list[str]:
 # Nominal contraction throughput used to turn work units into a rough time
 # figure; the unit is one complex multiply-add of the sweep cost model.
 _NOMINAL_UNITS_PER_S = 2e8
+# Bytes per table row held while a table is built and written (a tuple of
+# numpy scalars and its CSV text): q-histogram at r = 3 peaks 520-530 B
+# per bin above its 100-bin run at 2^16 and 2^18 bins.
+_TABLE_ROW_BYTES = 530
 
 
 def cost_estimate(cfg: RunConfig) -> str:
@@ -628,7 +634,7 @@ def cost_estimate(cfg: RunConfig) -> str:
     environment, its two products and the boundary pair), and on tensor
     ensembles the partial states of the two chain ends the Gram tiles
     multiply out, D^K chi s numbers per sample and end (s = 1 on open
-    chains, chi on rings).
+    chains, chi on rings); plus _TABLE_ROW_BYTES per planned table row.
     """
     planned = plan(cfg)
     units, mem_bytes = planned.extra_units, 16 * planned.dense_dim**2
@@ -652,6 +658,7 @@ def cost_estimate(cfg: RunConfig) -> str:
             mem += 16 * spec.r * ends
             mem += 4 * 16 * pair * min(spec.r, ensembles._tile_side(pair))**2
         mem_bytes = max(mem_bytes, mem)
+    mem_bytes += _TABLE_ROW_BYTES * planned.table_rows
     return (f"estimate: ~{units:.2e} contraction units "
             f"(~{units / _NOMINAL_UNITS_PER_S:.2g} s nominal), "
             f"~{mem_bytes / 2**20:.2f} MB peak arrays")

@@ -284,9 +284,9 @@ def average_state_distance(spec: EnsembleSpec, norm: str = "trace") -> EnsembleR
 # Samples per chunk of every estimator's loop, fixed so that no table
 # depends on it: at most _CHUNK_SAMPLES, and at most as many as keep
 # each batched array of the chunk within _CHUNK_ELEMENTS (256 KiB).  On
-# q-sweep (1 BLAS thread) chunks of 16 samples, with 1 MiB arrays, took
-# the allocation peak from 0.5 to 6.1 MiB (1.6 MiB in chunks of 4) for
-# about 5% of q_statistics' time.
+# q-sweep (1 BLAS thread, tracemalloc) chunks of 1, 4 and 16 samples peak
+# at 0.37, 0.64 and 2.5 MiB, and 16 take about 10% less q_statistics time
+# than 4.
 _CHUNK_SAMPLES = 16
 _CHUNK_ELEMENTS = 2**14
 

@@ -13,7 +13,7 @@ seed of each draw.  Re-keying costs a fifth of building a generator,
 whose construction also draws OS entropy that the key then overrides.
 A sampler derives all its keys in one ``subseed_keys`` pass over uint64
 arrays, and ``rekey`` takes such a key as it is.  Each Ginibre matrix or
-Haar state is one ``standard_normal`` draw, the real parts first.
+Haar state is one ``normals`` draw into a reusable buffer, real parts first.
 """
 
 from __future__ import annotations
@@ -106,15 +106,13 @@ def rekey(rng: np.random.Generator, seed: Seed | int | np.uint64) -> np.random.G
 
 
 def ginibre(n: int, seed: Seed | int | np.random.Generator) -> np.ndarray:
-    """n x n matrix of i.i.d. standard complex Gaussian entries.
-
-    Each entry is x + iy with x and y independent N(0, 1) variables.
-    The full real part is drawn before the imaginary part, which pins
-    the exact output for a given seed.
-    """
+    """n x n matrix of i.i.d. standard complex Gaussian entries x + iy, x
+    and y independent N(0, 1): one ``normals`` draw, all real parts before
+    the imaginary ones, which pins the exact output for a given seed."""
     if n < 1:
         raise DimensionError(f"matrix dimension must be positive, got {n}")
-    return _complex_normals((n, n), generator(seed))
+    x, y = normals(np.empty((2, n, n)), seed)
+    return x + 1j * y
 
 
 def haar_unitary(n: int, seed: Seed | int | np.random.Generator) -> np.ndarray:
@@ -152,15 +150,16 @@ def haar_state(n: int, seed: Seed | int | np.random.Generator) -> np.ndarray:
     """
     if n < 1:
         raise DimensionError(f"state dimension must be positive, got {n}")
-    v = _complex_normals((n,), generator(seed))
+    x, y = normals(np.empty((2, n)), seed)
+    v = x + 1j * y
     return v / np.linalg.norm(v)
 
 
-def _complex_normals(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Standard complex Gaussians from one draw: bitwise x + 1j * y of two."""
-    z = np.empty(shape, dtype=np.complex128)
-    z.real, z.imag = rng.standard_normal((2, *shape))
-    return z
+def normals(out: np.ndarray, seed: Seed | int | np.random.Generator) -> np.ndarray:
+    """Fill a contiguous (2, *shape) float64 buffer from generator(seed),
+    fresh or re-keyed, and return it: bitwise the array of
+    generator(seed).standard_normal((2, *shape)), real parts first."""
+    return generator(seed).standard_normal(out=out)
 
 
 def require_unitary(u: np.ndarray) -> None:

@@ -15,8 +15,8 @@ stacked Ginibre columns of all its sites and one isometry check, and
 gives bitwise the cut of the full unitaries.  One sampler,
 _sample_stack, draws a list of seeds straight into the stack the sweeps
 read, re-keying one Philox generator (haar.rekey) to each draw's key, all
-of them derived in one array pass (haar.subseed_keys); sample_rmps is
-its stack of one.
+of them derived in one array pass (haar.subseed_keys), and filling one
+normals buffer per stack (haar.normals); sample_rmps is its stack of one.
 
 Every contraction of ket chains against bra chains (norm, overlap,
 expectation value, block and site reduced states, the Gram block of a
@@ -33,8 +33,8 @@ Contractions never build the full chi^2 x chi^2 transfer matrices
 except in the two functions that expose them; a sweep costs
 O(N D chi^3) per pair on open chains and O(N D chi^5) on rings.  One
 closer, _block_states, gives every reduced state, one-site or block, at
-any set of starts in three batched matrix products.  A state's reduced
-states, expectations and amplitudes are its stack of one.
+any set of starts, each start in three products batched over the samples.
+A state's reduced states, expectations and amplitudes are its stack of one.
 The Gram block of a stack, the overlaps of bra rows m against ket
 columns j, is the one contraction that pairs every row with every
 column, and it sweeps only the middle of the chain: each end's partial
@@ -57,8 +57,8 @@ import numpy as np
 
 from .dense import DenseState, DensityMatrix, check_amplitude_cap, check_density_cap
 from .errors import DimensionError
-from .haar import Seed, generator, ginibre, haar_isometry, haar_state, \
-    isometry_defect, rekey, require_unitary, subseed_keys
+from .haar import Seed, generator, haar_isometry, haar_state, isometry_defect, \
+    normals, rekey, require_unitary, subseed_keys
 
 BOUNDARIES = ("obc", "pbc")
 
@@ -244,14 +244,13 @@ def _sample_stack(n: int, d: int, chi: int, seeds: Sequence[Seed | int] | np.nda
 
     One subseed_keys pass gives subseed(seed, k) of every seed at each
     site k and at k = n for the right boundary.  Each site's full Ginibre
-    matrix is drawn from one generator re-keyed to its key, so the random
-    stream is that of haar_unitary, and its first chi columns go into one
-    buffer that every sample reuses.  Householder QR of those columns
-    gives exactly the first chi columns of the full Q and the leading
-    chi x chi block of R, so one haar_isometry call per state (one thin
-    QR over all its sites and one isometry check) gives bitwise the cut
-    of the full unitaries.  The dimensions and the boundary are checked
-    before the first draw.
+    normals fill one buffer per stack from a generator re-keyed to its key
+    (the stream of haar_unitary); real and imaginary views copy its first
+    chi columns into the QR input.  Householder QR of those columns gives
+    exactly the first chi columns of the full Q and the leading chi x chi
+    block of R, so one haar_isometry call per state (one thin QR over all
+    its sites and one isometry check) gives bitwise the cut of the full
+    unitaries.  Dimensions and boundary are checked before the first draw.
     """
     _check_chain(n, d, chi, boundary)
     sets = 1 if homogeneous else n
@@ -265,10 +264,13 @@ def _sample_stack(n: int, d: int, chi: int, seeds: Sequence[Seed | int] | np.nda
         right = np.empty((len(seeds), chi), dtype=np.complex128)
     keys = subseed_keys(seeds, range(sets) if right is None else [*range(sets), n])
     z = np.empty((sets, d * chi, chi), dtype=np.complex128)
+    draw = np.empty((2, d * chi, d * chi))
+    real, imag, (kept_real, kept_imag) = z.real, z.imag, draw[:, :, :chi]
     rng = generator(0)
     for i, sample in enumerate(keys):
         for k in range(sets):
-            z[k] = ginibre(d * chi, rekey(rng, sample[k]))[:, :chi]
+            normals(draw, rekey(rng, sample[k]))
+            real[k], imag[k] = kept_real, kept_imag
         block[:, i] = haar_isometry(z).reshape(sets, d, chi, chi)
         if right is not None:
             right[i] = haar_state(chi, rekey(rng, sample[sets]))
@@ -555,8 +557,8 @@ def _block_states(stack: _Stack, starts: Sequence[int], length: int) -> np.ndarr
     every sample of a stack, each divided by its trace and hermitized,
     shape (samples, len(starts), D^length, D^length): one sweep each way,
     O(N D chi^3) per sample on open chains and O(N D chi^5) on rings, then
-    each block multiplied out from its own first tensor (a one-site block
-    is no product) and all closed in one _open_sites call.  D^length is capped.
+    one _open_sites call per start on its blocks, each multiplied out from
+    its own first tensor (a one-site block is no product).  D^length is capped.
     """
     n, d = len(stack.tensors), stack.tensors[0].shape[1]
     for start in starts:
@@ -565,23 +567,22 @@ def _block_states(stack: _Stack, starts: Sequence[int], length: int) -> np.ndarr
                 f"block [{start}, {start + length}) does not fit in {n} sites")
     check_density_cap(d**length)
     lefts, rights = _environments(stack, max(starts), n - min(starts) - length)
-    parts = ([lefts[k] for k in starts],
-             [_multiply(stack.tensors[k], stack.tensors[k + 1:k + length]) for k in starts],
-             [rights[n - k - length] for k in starts])
-    rho = _open_sites(*(np.stack(a, axis=1).reshape(-1, *a[0].shape[1:]) for a in parts))
+    rho = np.empty((len(lefts[0]), len(starts)) + (d**length,) * 2, dtype=np.complex128)
+    for i, k in enumerate(starts):
+        blocks = _multiply(stack.tensors[k], stack.tensors[k + 1:k + length])
+        rho[:, i] = _open_sites(lefts[k], blocks, rights[n - k - length])
     trace = np.trace(rho, axis1=-2, axis2=-1).real
     if np.any(trace <= 0.0):
         raise ValueError("state has zero norm")
-    rho /= trace[:, np.newaxis, np.newaxis]
-    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
-    return rho.reshape(-1, len(starts), *rho.shape[1:])
+    rho /= trace[..., np.newaxis, np.newaxis]
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _open_sites(lefts: np.ndarray, kets: np.ndarray, rights: np.ndarray) -> np.ndarray:
-    """Close blocks stacked on a leading axis n between their environments,
-    with the physical indices open (a one-site block is its site tensor):
-    rho[n, I, J] = sum lefts[n, a, s, c] kets[n, I, a, b] rights[n, b, s, d]
-    conj(kets[n, J, c, d]), in three products batched over n.
+    """Close the blocks of samples n between their environments, which may
+    broadcast over n, with the physical indices open (a one-site block is
+    its site tensor): rho[n, I, J] = sum lefts[n, a, s, c] kets[n, I, a, b]
+    rights[n, b, s, d] conj(kets[n, J, c, d]), in three products batched over n.
     """
     n, d, chi, _ = kets.shape
     s = rights.shape[-2]

@@ -609,6 +609,21 @@ def test_cost_estimate_sums_planned_grid(tmp_path):
     assert float(units) == float(f"{sum(300 * n * 2 * n**3 for n in range(2, 8)):.2e}")
 
 
+def test_cost_estimate_counts_table_rows(tmp_path):
+    """A Q histogram's rows outweigh its samples at r = 3: the memory
+    figure grows by about 530 bytes per bin (a run at 2^16 bins peaks
+    33 MiB above one at 100), and a running distance by about 530 per
+    sample-count prefix.  The line keeps its format."""
+    def megabytes(name, body):
+        line = cost_estimate(load_config(write_cfg(tmp_path, name, body)))
+        return float(re.fullmatch(r"estimate: ~\S+ contraction units \(~\S+ s nominal\), "
+                                  r"~(\S+) MB peak arrays", line).group(1))
+    few, many = (megabytes("q-histogram", {"r": 3, "params": {"bins": bins}})
+                 for bins in (100, 2**16))
+    assert few < 0.1 and 30 < many < 40
+    assert megabytes("avg-state-convergence", {"r": 20000, "params": {"n": 3}}) > 10
+
+
 # (experiment, params) of configs whose grid is empty
 EMPTY_GRIDS = [
     ("distance-vs-chi", {"chis": []}),

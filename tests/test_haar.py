@@ -13,6 +13,7 @@ from rmps.haar import (
     ginibre,
     haar_state,
     haar_unitary,
+    normals,
     rekey,
     require_unitary,
     subseed,
@@ -90,6 +91,21 @@ def test_one_draw_per_matrix_is_the_two_draw_formula(n):
         v = g.standard_normal(n) + 1j * g.standard_normal(n)
         assert ginibre(n, s).tobytes() == z.tobytes()
         assert haar_state(n, s).tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 4, 32])
+def test_normals_fill_the_buffer_of_one_draw(n):
+    """normals fills a caller's (2, *shape) buffer bitwise as
+    generator(seed).standard_normal((2, *shape)), from a fresh generator
+    and from a re-keyed one, and returns that buffer."""
+    rng = generator(0)
+    for shape in ((n, n), (n,)):
+        out = np.empty((2, *shape))
+        for s in range(20):
+            want = generator(s).standard_normal((2, *shape)).tobytes()
+            assert normals(out, s) is out and out.tobytes() == want
+            rng.integers(0, 10, size=s % 3 + 1, dtype=np.uint32)
+            assert normals(out, rekey(rng, s)) is out and out.tobytes() == want
 
 
 def test_generator_deterministic():

@@ -1,5 +1,6 @@
 """Tests for the matrix product state engine."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -130,7 +131,7 @@ def test_sample_rmps_matches_full_unitary_path(phys_dim, bond_dim):
 def test_sample_rmps_rejects_non_isometric_draw(monkeypatch):
     """A singular Ginibre draw has no phase fix; the isometry check of
     the thin factor rejects its NaN columns."""
-    monkeypatch.setattr(mps, "ginibre", lambda n, seed: np.zeros((n, n), dtype=complex))
+    monkeypatch.setattr(mps, "normals", lambda out, seed: out.fill(0.0))
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not isometric"):
         sample_rmps(3, 2, 2, 0)
 
@@ -540,6 +541,25 @@ def test_stacked_reduced_states_are_bitwise_the_per_state_ones(boundary, homogen
                           [m.norm_squared() for m in states])
 
 
+@pytest.mark.parametrize("boundary, n_sites, bond_dim", [("obc", 8, 16), ("pbc", 6, 4)])
+def test_closer_holds_one_start_at_a_time(boundary, n_sites, bond_dim):
+    """Closing every start of a stack allocates at most what closing its
+    middle start does plus the bytes of all its environments: no start's
+    environments or tensors are copied into a stack over the starts."""
+    stack = mps._sample_stack(n_sites, 2, bond_dim, range(4), False, boundary)
+    lefts, rights = mps._environments(stack, n_sites - 1, n_sites - 1)
+    envs = sum(env.nbytes for env in lefts + rights)
+
+    def peak(starts):
+        tracemalloc.start()
+        try:
+            mps._block_states(stack, starts, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(range(n_sites)) <= peak([n_sites // 2]) + envs
+
+
 CHAINS = [("obc", False, 2, 3), ("pbc", False, 2, 3), ("obc", True, 2, 2),
           ("pbc", True, 2, 2), ("obc", False, 2, 1), ("obc", False, 3, 2)]
 CHAIN_IDS = ["obc", "pbc", "homogeneous-obc", "homogeneous-pbc", "chi1", "qutrit"]
@@ -584,8 +604,8 @@ def test_sampler_checks_its_inputs_before_the_first_draw(monkeypatch, args, kwar
     """A non-integer or nonpositive dimension and an unknown boundary
     raise before any Ginibre draw; numpy integers are accepted."""
     draws = []
-    ginibre = mps.ginibre
-    monkeypatch.setattr(mps, "ginibre", lambda *a: draws.append(a) or ginibre(*a))
+    normals = mps.normals
+    monkeypatch.setattr(mps, "normals", lambda *a: draws.append(a) or normals(*a))
     with pytest.raises(error):
         sample_rmps(*args, **kwargs)
     assert draws == []

@@ -7,7 +7,7 @@ from pathlib import Path
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # listed by the tracer, gone from the package since rmps.mps samples
-# through ginibre and a thin QR, and since rmps.ensembles draws every
+# through Ginibre normals and a thin QR, and since rmps.ensembles draws every
 # matrix product state through mps._sample_stack
 STALE = {"rmps.mps:haar_unitary", "rmps.ensembles:sample_rmps"}
 
