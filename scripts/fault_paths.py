@@ -4,10 +4,11 @@
 
 Copies the source tree (its ``src`` and ``perfbench``) to K paths of
 different depths and lengths in a fresh temporary directory (made in DIR
-if given), and at each one spawns the workload's benchmark child as
-perfbench/run.py spawns it: ``perfbench/child.py CONFIG run`` from the
-copy's root, with the config and tables under the copy's perfbench/out,
-the copy's ``src`` as PYTHONPATH and one BLAS thread.  Per path it prints the raw
+if given, DIR being created if missing), and at each one spawns the
+workload's benchmark child as perfbench/run.py spawns it:
+``perfbench/child.py CONFIG run`` from the copy's root, with the config
+and tables under the copy's perfbench/out, the copy's ``src`` as
+PYTHONPATH and one BLAS thread.  Per path it prints the raw
 wall time of ``cli.run`` and the peak resident memory that the child
 reports, and the child's minor faults, the growth of RUSAGE_CHILDREN
 across it.  The workload config is read from the tree's
@@ -83,6 +84,8 @@ def main(argv=None) -> int:
     if args.paths < 1:
         parser.error("--paths must be at least 1")
     config = dict(workload(args.tree, args.workload), seed=args.seed, format="csv")
+    if args.scratch is not None:
+        args.scratch.mkdir(parents=True, exist_ok=True)
     faults = []
     with tempfile.TemporaryDirectory(prefix="fault-paths-", dir=args.scratch) as tmp:
         for root in checkout_paths(Path(tmp), args.paths):

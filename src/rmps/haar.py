@@ -14,6 +14,10 @@ whose construction also draws OS entropy that the key then overrides.
 A sampler derives all its keys in one ``subseed_keys`` pass over uint64
 arrays, and ``rekey`` takes such a key as it is.  Each Ginibre matrix or
 Haar state is one ``normals`` draw into a reusable buffer, real parts first.
+A Haar isometry is the Q of a QR decomposition with its columns' phases
+fixed against R's diagonal (``fix_phases``, which owns the phase rule and
+the isometry check): per call in ``haar_isometry``, and once over a
+sampler's whole stack of thin Q factors.
 """
 
 from __future__ import annotations
@@ -122,23 +126,48 @@ def haar_unitary(n: int, seed: Seed | int | np.random.Generator) -> np.ndarray:
 
 def isometry_defect(q: np.ndarray) -> float:
     """max |Q^dag Q - 1| over a matrix or a stack of matrices; NaN when
-    Q holds a NaN."""
-    return float(np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(q.shape[-1])).max())
+    Q holds a NaN.  The identity is subtracted in place from Q^dag Q,
+    formed in floating point for integer or boolean Q."""
+    gram = np.matmul(q.conj().swapaxes(-1, -2), q, dtype=np.result_type(q, 1.0))
+    gram -= np.eye(q.shape[-1])
+    return float(np.abs(gram).max())
+
+
+# Entries of Q per slice of fix_phases (64 KiB of complex128), so that a
+# sampler's whole stack makes one slice's temporaries, below glibc's
+# default mmap threshold: checked whole, or in 256 KiB slices, q-sweep's
+# stacks of 16 samples made a benchmark child fault 29.4k pages, not 5.5k.
+_SLICE_ELEMENTS = 2**12
+
+
+def fix_phases(q: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Multiply each column of the Q factor ``q``, one matrix or a stack
+    that reshapes to (matrices, rows, columns) in place, by the phase of
+    its R diagonal entry in ``diag``, slice by slice of _SLICE_ELEMENTS
+    entries, and return q once max |Q^dag Q - 1| <= 1e-12 over all of it.
+    The phase fix makes R's diagonal real positive; without it a unitary's
+    eigenvalue angles bunch up."""
+    rows, cols = q.shape[-2:]
+    stack, diags = q.reshape(-1, rows, cols), diag.reshape(-1, cols)
+    if not np.may_share_memory(stack, q):  # fixing a copy would leave q as it is
+        raise ValueError(f"a stack of shape {q.shape} does not reshape in place")
+    size = max(1, _SLICE_ELEMENTS // (rows * cols))
+    defect = 0.0
+    for start in range(0, len(stack), size):
+        part, d = stack[start:start + size], diags[start:start + size]
+        part *= (d / np.abs(d))[:, np.newaxis, :]
+        defect = np.maximum(defect, isometry_defect(part))  # keeps a NaN
+    if not defect <= 1e-12:  # also catches the NaN phases of a singular draw
+        raise ValueError(f"columns are not isometric: defect {defect:.3e} exceeds 1e-12")
+    return q
 
 
 def haar_isometry(z: np.ndarray) -> np.ndarray:
     """Haar-distributed orthonormal columns from Ginibre columns ``z``
-    (one matrix or a stack): Q of their QR decomposition, each column
-    times the phase of R's matching diagonal entry, checked as
-    max |Q^dag Q - 1| <= 1e-12.  The phase fix makes R's diagonal real
-    positive; without it a unitary's eigenvalue angles bunch up."""
+    (one matrix or a stack): Q of their QR decomposition, phase-fixed
+    and checked by fix_phases against R's diagonal."""
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (diag / np.abs(diag))[..., np.newaxis, :]
-    defect = isometry_defect(q)
-    if not defect <= 1e-12:  # also catches the NaN phases of a singular draw
-        raise ValueError(f"columns are not isometric: defect {defect:.3e} exceeds 1e-12")
-    return q
+    return fix_phases(q, np.diagonal(r, axis1=-2, axis2=-1))
 
 
 def haar_state(n: int, seed: Seed | int | np.random.Generator) -> np.ndarray:

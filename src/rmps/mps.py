@@ -11,8 +11,9 @@ Sampling cuts the site matrices out of Haar-random unitaries acting on
 the physical site plus a bond-space ancilla, which makes every sampled
 tensor set an exact isometry sum_i A^i{}^dag A^i = 1.  Only the chi
 columns a site keeps are ever formed: a sample is one thin QR over the
-stacked Ginibre columns of all its sites and one isometry check, and
-gives bitwise the cut of the full unitaries.  One sampler,
+stacked Ginibre columns of all its sites, and a stack is one phase fix
+and isometry check over all its samples (haar.fix_phases), which gives
+bitwise the cut of the full unitaries.  One sampler,
 _sample_stack, draws a list of seeds straight into the stack the sweeps
 read, re-keying one Philox generator (haar.rekey) to each draw's key, all
 of them derived in one array pass (haar.subseed_keys), and filling one
@@ -57,8 +58,8 @@ import numpy as np
 
 from .dense import DenseState, DensityMatrix, check_amplitude_cap, check_density_cap
 from .errors import DimensionError
-from .haar import Seed, generator, haar_isometry, haar_state, isometry_defect, \
-    normals, rekey, require_unitary, subseed_keys
+from .haar import Seed, fix_phases, generator, haar_state, isometry_defect, normals, \
+    rekey, require_unitary, subseed_keys
 
 BOUNDARIES = ("obc", "pbc")
 
@@ -248,9 +249,12 @@ def _sample_stack(n: int, d: int, chi: int, seeds: Sequence[Seed | int] | np.nda
     (the stream of haar_unitary); real and imaginary views copy its first
     chi columns into the QR input.  Householder QR of those columns gives
     exactly the first chi columns of the full Q and the leading chi x chi
-    block of R, so one haar_isometry call per state (one thin QR over all
-    its sites and one isometry check) gives bitwise the cut of the full
-    unitaries.  Dimensions and boundary are checked before the first draw.
+    block of R.  So one thin QR per state over all its sites, its Q
+    written into the stack and its R diagonal kept, and after the last
+    sample one fix_phases call over the whole stack (the elementwise
+    phase fix of haar_isometry, in place, and one isometry check) give
+    bitwise the cut of the full unitaries.  Dimensions and boundary are
+    checked before the first draw.
     """
     _check_chain(n, d, chi, boundary)
     sets = 1 if homogeneous else n
@@ -264,6 +268,7 @@ def _sample_stack(n: int, d: int, chi: int, seeds: Sequence[Seed | int] | np.nda
         right = np.empty((len(seeds), chi), dtype=np.complex128)
     keys = subseed_keys(seeds, range(sets) if right is None else [*range(sets), n])
     z = np.empty((sets, d * chi, chi), dtype=np.complex128)
+    diag = np.empty((sets, len(seeds), chi), dtype=np.complex128)
     draw = np.empty((2, d * chi, d * chi))
     real, imag, (kept_real, kept_imag) = z.real, z.imag, draw[:, :, :chi]
     rng = generator(0)
@@ -271,9 +276,12 @@ def _sample_stack(n: int, d: int, chi: int, seeds: Sequence[Seed | int] | np.nda
         for k in range(sets):
             normals(draw, rekey(rng, sample[k]))
             real[k], imag[k] = kept_real, kept_imag
-        block[:, i] = haar_isometry(z).reshape(sets, d, chi, chi)
+        q, r = np.linalg.qr(z)
+        block[:, i] = q.reshape(sets, d, chi, chi)
+        diag[:, i] = np.diagonal(r, axis1=-2, axis2=-1)
         if right is not None:
             right[i] = haar_state(chi, rekey(rng, sample[sets]))
+    fix_phases(block.reshape(sets, len(seeds), d * chi, chi), diag)
     return _Stack((block[0],) * n if homogeneous else tuple(block), boundary, left, right)
 
 

@@ -5,14 +5,17 @@ import warnings
 import numpy as np
 import pytest
 
+from rmps import haar
 from rmps.errors import DimensionError
 from rmps.haar import (
     Seed,
     as_seed,
+    fix_phases,
     generator,
     ginibre,
     haar_state,
     haar_unitary,
+    isometry_defect,
     normals,
     rekey,
     require_unitary,
@@ -235,3 +238,52 @@ def test_nan_matrix_is_not_unitary():
     """A NaN defect fails the check: NaN compares false with any tolerance."""
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
         require_unitary(np.full((4, 4), np.nan))
+
+
+def test_fix_phases_multiplies_a_stack_in_place():
+    """On a stack of Q factors, several slices long, fix_phases writes
+    bitwise q * (diag / |diag|)[..., None, :] into q itself and returns it."""
+    rng = generator(3)
+    z = rng.standard_normal((3, 2000, 4, 2)) + 1j * rng.standard_normal((3, 2000, 4, 2))
+    q, r = np.linalg.qr(z)
+    assert q.size > 2 * haar._SLICE_ELEMENTS
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    want = q * (diag / np.abs(diag))[..., np.newaxis, :]
+    got = fix_phases(q, diag)
+    assert got is q
+    assert got.tobytes() == want.tobytes()
+
+
+def test_fix_phases_refuses_a_stack_it_cannot_fix_in_place():
+    """A stack whose matrices reshape to one axis only by a copy is
+    refused, not fixed in the copy."""
+    q, r = np.linalg.qr(generator(6).standard_normal((2, 3, 4, 4)) + 0j)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    with pytest.raises(ValueError, match="does not reshape in place"):
+        fix_phases(q.swapaxes(0, 1), diag.swapaxes(0, 1))
+
+
+@pytest.mark.parametrize("where", [(0, 0, 1), (2, 1999, 0)], ids=["first-slice", "last-slice"])
+def test_fix_phases_rejects_a_nan_diagonal(where):
+    rng = generator(4)
+    z = rng.standard_normal((3, 2000, 4, 2)) + 1j * rng.standard_normal((3, 2000, 4, 2))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    diag[where] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not isometric"):
+        fix_phases(q, diag)
+
+
+def test_isometry_defect_is_the_gram_formula():
+    """With the identity subtracted in place, the defect is bitwise
+    max |Q^dag Q - 1|, also for integer and boolean matrices, and a NaN
+    entry gives NaN."""
+    rng = generator(5)
+    q = rng.standard_normal((4, 6, 3)) + 1j * rng.standard_normal((4, 6, 3))
+    want = float(np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(3)).max())
+    assert isometry_defect(q) == want
+    assert isometry_defect(np.array([[0, 1], [1, 0]])) == 0.0
+    assert isometry_defect(np.eye(3, dtype=bool)) == 0.0
+    assert isometry_defect(np.eye(3, dtype=int) * 2) == 3.0
+    q[1, 2, 0] = np.nan
+    assert np.isnan(isometry_defect(q))

@@ -11,6 +11,7 @@ from rmps.dense import DensityMatrix
 from rmps.errors import CapExceededError, DimensionError
 from rmps.haar import Seed, haar_state, haar_unitary, subseed
 from rmps.mps import (
+    BOUNDARIES,
     LocalObservable,
     Mps,
     a_matrices_from_unitary,
@@ -134,6 +135,50 @@ def test_sample_rmps_rejects_non_isometric_draw(monkeypatch):
     monkeypatch.setattr(mps, "normals", lambda out, seed: out.fill(0.0))
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not isometric"):
         sample_rmps(3, 2, 2, 0)
+
+
+@pytest.mark.parametrize("boundary, homogeneous", [("obc", False), ("pbc", False),
+                                                   ("obc", True), ("pbc", True)],
+                         ids=["obc", "pbc", "homogeneous-obc", "homogeneous-pbc"])
+def test_sample_stack_checks_the_whole_stack_once(monkeypatch, boundary, homogeneous):
+    """_sample_stack fixes phases and checks isometry with one fix_phases
+    call over every set of every sample of the stack, and each sample is
+    still bitwise the state sample_rmps draws from its seed."""
+    fixed = []
+
+    def spy(q, diag):
+        fixed.append((q.shape, diag.shape))
+        return haar.fix_phases(q, diag)
+    monkeypatch.setattr(mps, "fix_phases", spy)
+    stack = mps._sample_stack(5, 2, 3, [Seed(4), 5, 6, 7], homogeneous, boundary)
+    sets = 1 if homogeneous else 5
+    assert fixed == [((sets, 4, 6, 3), (sets, 4, 3))]
+    monkeypatch.undo()
+    for i, seed in enumerate([4, 5, 6, 7]):
+        state = sample_rmps(5, 2, 3, seed, homogeneous, boundary)
+        for k in range(5):
+            assert np.array_equal(stack.tensors[k][i], state.tensors[k])
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_sample_stack_rejects_one_singular_sample(monkeypatch, boundary):
+    """A singular draw at the middle sample of a 5-sample stack, its site
+    normals zeroed and every other draw untouched, fails the stack's
+    isometry check."""
+    seeds = [10, 11, 12, 13, 14]
+    bad = set(haar.subseed_keys(seeds, range(4))[2].tolist())
+    draw = mps.normals
+
+    def zero_middle(out, rng):
+        draw(out, rng)
+        if int(rng.bit_generator.state["state"]["key"][0]) in bad:
+            out.fill(0.0)
+        return out
+    monkeypatch.setattr(mps, "normals", zero_middle)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not isometric"):
+        mps._sample_stack(4, 2, 2, seeds, False, boundary)
+    monkeypatch.setattr(mps, "normals", draw)
+    mps._sample_stack(4, 2, 2, seeds, False, boundary)
 
 
 def test_sample_rmps_builds_one_philox_per_call(monkeypatch):
